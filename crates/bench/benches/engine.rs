@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the simulator substrate itself: event throughput on
-//! the big 4-degree workflow, generator speed, DAX round-trips, and the
-//! parallel-sweep speedup.
+//! the big 4-degree workflow, generator speed from 1 to 16 degrees, DAX
+//! round-trips, and the parallel-sweep speedup.
 
 use std::hint::black_box;
 
@@ -37,7 +37,10 @@ fn bench_simulator(b: &Bench) {
 }
 
 fn bench_generator(b: &Bench) {
-    for degrees in [1.0, 2.0, 4.0] {
+    // 8 and 16 degrees are the production mosaic sizes of the follow-on
+    // EC2 studies; workflow construction is linear in edges, so they are
+    // cheap enough to time alongside the paper's sizes.
+    for degrees in [1.0, 2.0, 4.0, 8.0, 16.0] {
         let cfg = MosaicConfig::new(degrees);
         b.run(&format!("generator/generate/{degrees}deg"), || {
             black_box(generate(&cfg))

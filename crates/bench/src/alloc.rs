@@ -2,40 +2,63 @@
 //!
 //! Every binary in this crate (the stopwatch benches and the `repro` tool)
 //! routes its heap traffic through [`CountingAlloc`], which forwards to the
-//! system allocator while maintaining process-wide atomic counters. The
-//! baseline runner ([`crate::baseline`]) snapshots the counters around a
-//! single-threaded simulation to obtain *exact, deterministic* per-run
-//! allocation counts — the quantity the CI perf gate pins, because unlike
-//! wall-clock throughput it is identical on every machine.
+//! system allocator while maintaining per-thread counters. The baseline
+//! runner ([`crate::baseline`]) snapshots the calling thread's counters
+//! around a single-threaded simulation to obtain *exact, deterministic*
+//! per-run allocation counts — the quantity the CI perf gate pins, because
+//! unlike wall-clock throughput it is identical on every machine.
 //!
-//! The counters use relaxed atomics: they are totals, not synchronization,
-//! and the measured regions are single-threaded.
+//! The counters are per thread so that a measurement sees only the code it
+//! brackets, never a concurrent test or worker thread. A block freed on a
+//! thread other than the one that allocated it lowers the freeing thread's
+//! live count, which may therefore go negative.
 
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; this is the one spot.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so the allocator can touch it at
+    // any point in a thread's life without allocating itself.
+    static COUNTERS: Cell<AllocSnapshot> = const {
+        Cell::new(AllocSnapshot {
+            allocs: 0,
+            alloc_bytes: 0,
+            frees: 0,
+            live_bytes: 0,
+            peak_live_bytes: 0,
+        })
+    };
+}
+
+/// Applies `f` to this thread's counters.
+fn update(f: impl FnOnce(&mut AllocSnapshot)) {
+    let _ = COUNTERS.try_with(|cell| {
+        let mut c = cell.get();
+        f(&mut c);
+        cell.set(c);
+    });
+}
 
 /// System-allocator wrapper that counts every allocation.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
     fn on_alloc(size: usize) {
-        ALLOCS.fetch_add(1, Relaxed);
-        ALLOC_BYTES.fetch_add(size as u64, Relaxed);
-        let live = LIVE_BYTES.fetch_add(size as u64, Relaxed) + size as u64;
-        PEAK_LIVE_BYTES.fetch_max(live, Relaxed);
+        update(|c| {
+            c.allocs += 1;
+            c.alloc_bytes += size as u64;
+            c.live_bytes += size as i64;
+            c.peak_live_bytes = c.peak_live_bytes.max(c.live_bytes);
+        });
     }
 
     fn on_free(size: usize) {
-        FREES.fetch_add(1, Relaxed);
-        LIVE_BYTES.fetch_sub(size as u64, Relaxed);
+        update(|c| {
+            c.frees += 1;
+            c.live_bytes -= size as i64;
+        });
     }
 }
 
@@ -65,37 +88,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// A point-in-time copy of the allocator counters.
+/// A point-in-time copy of the calling thread's allocator counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocSnapshot {
-    /// Allocation events since process start (reallocs count once).
+    /// Allocation events since thread start (reallocs count once).
     pub allocs: u64,
     /// Bytes requested by those events.
     pub alloc_bytes: u64,
     /// Deallocation events.
     pub frees: u64,
-    /// Bytes currently live.
-    pub live_bytes: u64,
+    /// Bytes this thread allocated minus bytes it freed; negative when it
+    /// freed more than it allocated.
+    pub live_bytes: i64,
     /// High-water mark of live bytes since the last [`reset_peak`].
-    pub peak_live_bytes: u64,
+    pub peak_live_bytes: i64,
 }
 
-/// Reads the counters. Exact when no other thread is allocating.
+/// Reads the calling thread's counters.
 pub fn snapshot() -> AllocSnapshot {
-    AllocSnapshot {
-        allocs: ALLOCS.load(Relaxed),
-        alloc_bytes: ALLOC_BYTES.load(Relaxed),
-        frees: FREES.load(Relaxed),
-        live_bytes: LIVE_BYTES.load(Relaxed),
-        peak_live_bytes: PEAK_LIVE_BYTES.load(Relaxed),
-    }
+    COUNTERS.with(Cell::get)
 }
 
 /// Restarts peak-live tracking from the current live level, so a
 /// subsequent [`snapshot`] reports the high-water mark of the measured
 /// region alone.
 pub fn reset_peak() {
-    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Relaxed), Relaxed);
+    update(|c| c.peak_live_bytes = c.live_bytes);
 }
 
 /// What one region of code allocated: the difference between two
@@ -111,8 +129,8 @@ pub struct AllocDelta {
 }
 
 /// Runs `f` and returns its result together with exact allocation counts
-/// for the call. Only meaningful when no other thread allocates
-/// concurrently (the baseline runner is single-threaded).
+/// for the call. Counts what `f` allocates on the calling thread; threads
+/// it spawns count on their own.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocDelta) {
     reset_peak();
     let before = snapshot();
@@ -123,7 +141,7 @@ pub fn measure<R>(f: impl FnOnce() -> R) -> (R, AllocDelta) {
         AllocDelta {
             allocs: after.allocs - before.allocs,
             alloc_bytes: after.alloc_bytes - before.alloc_bytes,
-            peak_above_start: after.peak_live_bytes.saturating_sub(before.live_bytes),
+            peak_above_start: (after.peak_live_bytes - before.live_bytes) as u64,
         },
     )
 }
@@ -146,6 +164,32 @@ mod tests {
         let (sum, delta) = measure(|| (0u64..100).sum::<u64>());
         assert_eq!(sum, 4950);
         assert_eq!(delta.allocs, 0, "{delta:?}");
+    }
+
+    #[test]
+    fn other_threads_do_not_count_here() {
+        let (_, delta) = measure(|| {
+            std::thread::spawn(|| std::hint::black_box(vec![0u8; 1 << 20]).len())
+                .join()
+                .unwrap()
+        });
+        assert!(delta.alloc_bytes < 1 << 20, "{delta:?}");
+    }
+
+    #[test]
+    fn a_free_on_another_thread_is_tolerated() {
+        let v = std::hint::black_box(vec![0u8; 4096]);
+        std::thread::spawn(move || {
+            let before = snapshot();
+            let (_, delta) = measure(|| drop(v));
+            let after = snapshot();
+            assert_eq!(delta.allocs, 0, "{delta:?}");
+            assert_eq!(delta.peak_above_start, 0, "{delta:?}");
+            assert_eq!(after.frees, before.frees + 1);
+            assert_eq!(after.live_bytes, before.live_bytes - 4096);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! - **stdio** (the default): length-prefixed JSON frames. Each request
 //!   is an ASCII decimal byte count, a newline, then exactly that many
 //!   bytes of JSON; each response is framed the same way. EOF ends the
-//!   session cleanly.
+//!   session cleanly; so does a frame over [`MAX_REQUEST_BYTES`], after
+//!   an error frame.
 //! - **HTTP/1.1** (`--listen ADDR`): a hand-rolled single-threaded
 //!   accept loop. `POST /simulate|/plan|/profile|/batch` take the same
 //!   JSON payloads as stdio (the path supplies the `op`), `GET /metrics`
-//!   returns the cache telemetry as Prometheus text exposition.
+//!   returns the cache telemetry as Prometheus text exposition. A body
+//!   over [`MAX_REQUEST_BYTES`] gets `413 Payload Too Large`.
 //!
 //! Requests name scenarios with the CLI's own flag vocabulary —
 //! `{"op": "simulate", "args": ["--degrees", "1", "--procs", "8"]}` —
@@ -44,7 +46,8 @@ mcloud serve — answer what-if scenario queries over stdio or HTTP
 
 stdio protocol (default): length-prefixed JSON frames. Each request is
 an ASCII decimal byte count, '\\n', then that many bytes of JSON; each
-response is framed the same way. EOF ends the session.
+response is framed the same way. EOF ends the session. A request over
+16 MiB is refused: an error frame ends the session (HTTP: 413).
 
 requests:
   {\"op\": \"simulate\", \"args\": [\"--degrees\", \"1\", \"--procs\", \"8\"]}
@@ -117,30 +120,68 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
     }
 }
 
+/// The largest request the server reads: a stdio frame's payload or an
+/// HTTP body. A larger length is refused before anything is allocated
+/// for it, so no header can make the server reserve unbounded memory.
+const MAX_REQUEST_BYTES: u64 = 16 * 1024 * 1024;
+
 /// Runs one framed request/response session to EOF; returns the number
 /// of requests answered. Factored over `BufRead`/`Write` so tests drive
-/// it in-process.
+/// it in-process. A frame longer than [`MAX_REQUEST_BYTES`] is answered
+/// with an error frame and ends the session, since its payload is never
+/// read and the stream cannot be resynchronized.
 pub(crate) fn serve_session<R: BufRead, W: Write>(
     input: &mut R,
     output: &mut W,
 ) -> Result<u64, String> {
     let mut served = 0u64;
-    while let Some(payload) = read_frame(input)? {
-        let response = match handle_request(&payload) {
-            Ok(doc) => doc,
-            Err(e) => format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(&e)),
+    while let Some(frame) = read_frame(input)? {
+        let (response, last) = match frame {
+            Frame::Request(payload) => match handle_request(&payload) {
+                Ok(doc) => (doc, false),
+                Err(e) => (error_doc(&e), false),
+            },
+            Frame::TooLarge(len) => (
+                error_doc(&format!(
+                    "frame of {len} bytes exceeds the {MAX_REQUEST_BYTES}-byte limit"
+                )),
+                true,
+            ),
         };
         write!(output, "{}\n{response}", response.len())
             .and_then(|_| output.flush())
             .map_err(|e| format!("writing response: {e}"))?;
         served += 1;
+        if last {
+            break;
+        }
     }
     Ok(served)
 }
 
+fn error_doc(e: &str) -> String {
+    format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(e))
+}
+
+/// One stdio frame.
+enum Frame {
+    /// A complete request payload.
+    Request(String),
+    /// A header announcing more than [`MAX_REQUEST_BYTES`]; the payload
+    /// was not read.
+    TooLarge(u64),
+}
+
+/// Parses a decimal byte count. An all-digit value too large for `u64`
+/// saturates, so it fails the size check rather than the parse.
+fn byte_count(s: &str) -> Option<u64> {
+    let s = s.trim();
+    (!s.is_empty() && s.bytes().all(|b| b.is_ascii_digit())).then(|| s.parse().unwrap_or(u64::MAX))
+}
+
 /// Reads one length-prefixed frame; `None` at clean EOF. Blank lines
 /// between frames are tolerated so session files can end with a newline.
-fn read_frame<R: BufRead>(input: &mut R) -> Result<Option<String>, String> {
+fn read_frame<R: BufRead>(input: &mut R) -> Result<Option<Frame>, String> {
     let mut header = String::new();
     loop {
         header.clear();
@@ -154,18 +195,21 @@ fn read_frame<R: BufRead>(input: &mut R) -> Result<Option<String>, String> {
             break;
         }
     }
-    let len: usize = header.trim().parse().map_err(|_| {
+    let len = byte_count(&header).ok_or_else(|| {
         format!(
             "bad frame header '{}' (expected a byte count)",
             header.trim()
         )
     })?;
-    let mut payload = vec![0u8; len];
+    if len > MAX_REQUEST_BYTES {
+        return Ok(Some(Frame::TooLarge(len)));
+    }
+    let mut payload = vec![0u8; len as usize];
     input
         .read_exact(&mut payload)
         .map_err(|e| format!("reading {len}-byte frame: {e}"))?;
     String::from_utf8(payload)
-        .map(Some)
+        .map(|p| Some(Frame::Request(p)))
         .map_err(|_| "frame is not UTF-8".to_string())
 }
 
@@ -381,12 +425,23 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
     let content_length = lines
         .filter_map(|l| l.split_once(':'))
         .find(|(k, _)| k.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.trim().parse::<usize>().ok())
+        .and_then(|(_, v)| byte_count(v))
         .unwrap_or(0);
+    if content_length > MAX_REQUEST_BYTES {
+        return write_http(
+            stream,
+            413,
+            "text/plain",
+            &format!("body exceeds the {MAX_REQUEST_BYTES}-byte limit\n"),
+        );
+    }
+    let content_length = content_length as usize;
+    body.reserve(content_length.saturating_sub(body.len()));
+    let mut chunk = [0u8; 16 * 1024];
     while body.len() < content_length {
-        let mut chunk = vec![0u8; content_length - body.len()];
+        let want = (content_length - body.len()).min(chunk.len());
         let n = stream
-            .read(&mut chunk)
+            .read(&mut chunk[..want])
             .map_err(|e| format!("reading body: {e}"))?;
         if n == 0 {
             return write_http(stream, 400, "text/plain", "truncated body\n");
@@ -415,12 +470,7 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
                 .and_then(|request| dispatch(op, &request));
             match outcome {
                 Ok(doc) => write_http(stream, 200, "application/json", &doc),
-                Err(e) => write_http(
-                    stream,
-                    400,
-                    "application/json",
-                    &format!("{{\"ok\": false, \"error\": \"{}\"}}\n", json::escape(&e)),
-                ),
+                Err(e) => write_http(stream, 400, "application/json", &error_doc(&e)),
             }
         }
         _ => write_http(stream, 404, "text/plain", "not found\n"),
@@ -462,6 +512,7 @@ fn write_http<S: Write>(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        413 => "Payload Too Large",
         _ => "Error",
     };
     write!(
@@ -531,44 +582,138 @@ mod tests {
         ]);
         let mut cursor = Cursor::new(out.into_bytes());
         let mut count = 0;
-        while let Some(payload) = read_frame(&mut cursor).expect("frame") {
+        while let Some(frame) = read_frame(&mut cursor).expect("frame") {
+            let Frame::Request(payload) = frame else {
+                panic!("response frame over the size limit");
+            };
             json::parse(&payload).expect("response payload parses as JSON");
             count += 1;
         }
         assert_eq!(count, 2);
     }
 
-    #[test]
-    fn http_routes_simulate_metrics_and_404() {
-        // A loopback stream stand-in: reads from `input`, writes to `output`.
-        struct Duplex {
-            input: Cursor<Vec<u8>>,
-            output: Vec<u8>,
+    /// A loopback stream stand-in: reads from `input`, writes to `output`.
+    struct Duplex {
+        input: Cursor<Vec<u8>>,
+        output: Vec<u8>,
+    }
+
+    impl Read for Duplex {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.input.read(buf)
         }
-        impl Read for Duplex {
+    }
+
+    impl Write for Duplex {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.write(buf)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Runs one HTTP exchange on `request`; returns the response text.
+    fn http(request: &[u8]) -> String {
+        let mut s = Duplex {
+            input: Cursor::new(request.to_vec()),
+            output: Vec::new(),
+        };
+        handle_http(&mut s).expect("http");
+        String::from_utf8(s.output).expect("utf8")
+    }
+
+    #[test]
+    fn oversized_frame_headers_get_an_error_frame_and_end_the_session() {
+        let q = r#"{"op": "metrics"}"#;
+        for header in [
+            "99999999999999",
+            "18446744073709551615",
+            "99999999999999999999999",
+        ] {
+            let mut input = Cursor::new(format!("{}\n{q}{header}\n{q}", q.len()).into_bytes());
+            let mut output = Vec::new();
+            let served = serve_session(&mut input, &mut output).expect("clean end");
+            assert_eq!(served, 2, "{header}");
+            let mut cursor = Cursor::new(output);
+            let Some(Frame::Request(first)) = read_frame(&mut cursor).unwrap() else {
+                panic!("{header}: first response missing");
+            };
+            assert!(first.contains("mcloud_cache"), "{first}");
+            let Some(Frame::Request(refusal)) = read_frame(&mut cursor).unwrap() else {
+                panic!("{header}: no error frame");
+            };
+            assert!(refusal.starts_with("{\"ok\": false"), "{refusal}");
+            assert!(
+                refusal.contains("exceeds the 16777216-byte limit"),
+                "{refusal}"
+            );
+            json::parse(&refusal).expect("error frame is JSON");
+            // The frame after the refused one is never read.
+            assert!(read_frame(&mut cursor).unwrap().is_none(), "{header}");
+        }
+    }
+
+    #[test]
+    fn oversized_http_content_length_gets_413() {
+        for len in ["999999999999999", "18446744073709551615", "16777217"] {
+            let resp = http(
+                format!("POST /simulate HTTP/1.1\r\nHost: x\r\nContent-Length: {len}\r\n\r\n{{}}")
+                    .as_bytes(),
+            );
+            assert!(
+                resp.starts_with("HTTP/1.1 413 Payload Too Large\r\n"),
+                "{len}: {resp}"
+            );
+        }
+    }
+
+    #[test]
+    fn http_body_arrives_across_many_reads() {
+        // A body longer than the read buffer, delivered one byte per read.
+        struct Trickle(Duplex);
+        impl Read for Trickle {
             fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.input.read(buf)
+                let n = buf.len().min(1);
+                self.0.read(&mut buf[..n])
             }
         }
-        impl Write for Duplex {
+        impl Write for Trickle {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.output.write(buf)
+                self.0.write(buf)
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
             }
         }
+        let pad = " ".repeat(40_000);
+        let body = format!(r#"{{"args": ["--degrees", "0.2", "--procs", "2"]}}{pad}"#);
+        let mut s = Trickle(Duplex {
+            input: Cursor::new(
+                format!(
+                    "POST /simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes(),
+            ),
+            output: Vec::new(),
+        });
+        handle_http(&mut s).expect("http");
+        let resp = String::from_utf8(s.0.output).unwrap();
+        assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
+        assert!(resp.contains("\"mcloud-report/v1\""), "{resp}");
+    }
+
+    #[test]
+    fn http_routes_simulate_metrics_and_404() {
         let post = |path: &str, body: &str| {
-            let req = format!(
-                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            let mut s = Duplex {
-                input: Cursor::new(req.into_bytes()),
-                output: Vec::new(),
-            };
-            handle_http(&mut s).expect("http");
-            String::from_utf8(s.output).expect("utf8")
+            http(
+                format!(
+                    "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            )
         };
 
         let sim = post(
@@ -581,22 +726,10 @@ mod tests {
         let bad = post("/simulate", r#"{"args": ["--bogus"]}"#);
         assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
 
-        let mut s = Duplex {
-            input: Cursor::new(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n".to_vec()),
-            output: Vec::new(),
-        };
-        handle_http(&mut s).expect("http");
-        let metrics = String::from_utf8(s.output).unwrap();
+        let metrics = http(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(metrics.contains("mcloud_cache_misses_total"), "{metrics}");
 
-        let mut s = Duplex {
-            input: Cursor::new(b"GET /nope HTTP/1.1\r\n\r\n".to_vec()),
-            output: Vec::new(),
-        };
-        handle_http(&mut s).expect("http");
-        assert!(String::from_utf8(s.output)
-            .unwrap()
-            .starts_with("HTTP/1.1 404"));
+        assert!(http(b"GET /nope HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 404"));
     }
 
     #[test]

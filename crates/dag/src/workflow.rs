@@ -7,7 +7,9 @@
 //! *deliverable*, like the final mosaic) are staged out to the user at the
 //! end of the run.
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::error::DagError;
 use crate::ids::{FileId, TaskId};
@@ -46,30 +48,64 @@ pub struct Task {
 /// two loads with no pointer chase per row and the whole structure is two
 /// allocations regardless of row count.
 #[derive(Debug, Clone)]
-struct Csr<T> {
+struct Csr {
     offsets: Vec<u32>,
-    ids: Vec<T>,
+    ids: Vec<TaskId>,
 }
 
-impl<T: Copy> Csr<T> {
-    /// Flattens per-row lists. Row order and within-row order are preserved.
-    fn from_lists(lists: &[Vec<T>]) -> Self {
-        let total: usize = lists.iter().map(Vec::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "adjacency has {total} edges, exceeding the u32 offset range"
-        );
-        let mut offsets = Vec::with_capacity(lists.len() + 1);
-        let mut ids = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for list in lists {
-            ids.extend_from_slice(list);
-            offsets.push(ids.len() as u32);
+impl Csr {
+    /// Groups `(row, id)` pairs into `rows` rows with a stable counting
+    /// sort: each row lists its ids in iteration order. The pairs are
+    /// walked twice, once to count and once to fill.
+    fn group(rows: usize, pairs: impl Iterator<Item = (usize, TaskId)> + Clone) -> Self {
+        let mut offsets = vec![0u32; rows + 1];
+        for (r, _) in pairs.clone() {
+            offsets[r + 1] += 1;
+        }
+        for r in 0..rows {
+            offsets[r + 1] = offsets[r]
+                .checked_add(offsets[r + 1])
+                .expect("adjacency exceeds the u32 offset range");
+        }
+        let mut next = offsets[..rows].to_vec();
+        let mut ids = vec![TaskId(0); offsets[rows] as usize];
+        for (r, id) in pairs {
+            ids[next[r] as usize] = id;
+            next[r] += 1;
         }
         Csr { offsets, ids }
     }
 
-    fn row(&self, i: usize) -> &[T] {
+    /// Drops repeated ids within each row. Duplicates must be adjacent,
+    /// which holds for sorted rows.
+    fn dedup_sorted_rows(&mut self) {
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for r in 0..self.offsets.len() - 1 {
+            let end = self.offsets[r + 1] as usize;
+            for i in start..end {
+                let id = self.ids[i];
+                if i == start || id != self.ids[write - 1] {
+                    self.ids[write] = id;
+                    write += 1;
+                }
+            }
+            start = end;
+            self.offsets[r + 1] = write as u32;
+        }
+        self.ids.truncate(write);
+    }
+
+    /// Every `(row, id)` pair, rows in order.
+    fn pairs(&self) -> impl Iterator<Item = (usize, TaskId)> + Clone + '_ {
+        self.offsets.windows(2).enumerate().flat_map(move |(r, w)| {
+            self.ids[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |&id| (r, id))
+        })
+    }
+
+    fn row(&self, i: usize) -> &[TaskId] {
         &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 }
@@ -89,9 +125,9 @@ pub struct Workflow {
     tasks: Vec<Task>,
     files: Vec<FileMeta>,
     producer: Vec<Option<TaskId>>,
-    consumers: Csr<TaskId>,
-    parents: Csr<TaskId>,
-    children: Csr<TaskId>,
+    consumers: Csr,
+    parents: Csr,
+    children: Csr,
     external_inputs: Vec<FileId>,
     staged_out: Vec<FileId>,
 }
@@ -195,16 +231,15 @@ impl Workflow {
         }
     }
 
-    pub(crate) fn from_parts(
+    fn from_parts(
         name: String,
         tasks: Vec<Task>,
         files: Vec<FileMeta>,
         producer: Vec<Option<TaskId>>,
-        consumers: Vec<Vec<TaskId>>,
-        parents: Vec<Vec<TaskId>>,
-        children: Vec<Vec<TaskId>>,
+        consumers: Csr,
+        parents: Csr,
+        children: Csr,
     ) -> Self {
-        let consumers = Csr::from_lists(&consumers);
         let external_inputs: Vec<FileId> = (0..files.len() as u32)
             .map(FileId)
             .filter(|f| producer[f.index()].is_none())
@@ -222,15 +257,93 @@ impl Workflow {
             files,
             producer,
             consumers,
-            parents: Csr::from_lists(&parents),
-            children: Csr::from_lists(&children),
+            parents,
+            children,
             external_inputs,
             staged_out,
         }
     }
 }
 
+/// Which table a name in a [`NameIndex`] belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NameKind {
+    File = 0,
+    Task = 1,
+}
+
+/// Name lookup for files and tasks that does not store the names twice.
+///
+/// The index keys each entry by a 64-bit hash of its kind and name and
+/// confirms a hit against the name the builder already stores in its
+/// [`FileMeta`] or [`Task`]. A name whose hash slot is taken by a different
+/// name goes to a per-kind overflow map, which owns a copy of it; with a
+/// good hasher that map stays empty.
+#[derive(Debug, Default)]
+struct NameIndex<S> {
+    hasher: S,
+    slots: HashMap<u64, (NameKind, u32), BuildHasherDefault<PreHashed>>,
+    overflow: [HashMap<String, u32>; 2],
+}
+
+impl<S: BuildHasher> NameIndex<S> {
+    fn hash(&self, kind: NameKind, name: &str) -> u64 {
+        self.hasher.hash_one((kind as u8, name))
+    }
+
+    /// The id stored under `name`, whose hash is `hash`; `stored` maps an
+    /// id of this kind back to its name.
+    fn get<'a>(
+        &self,
+        hash: u64,
+        kind: NameKind,
+        name: &str,
+        stored: impl Fn(u32) -> &'a str,
+    ) -> Option<u32> {
+        match self.slots.get(&hash) {
+            Some(&(k, id)) if k == kind && stored(id) == name => Some(id),
+            Some(_) => self.overflow[kind as usize].get(name).copied(),
+            None => None,
+        }
+    }
+
+    /// Adds a name that [`NameIndex::get`] has just reported absent.
+    fn insert(&mut self, hash: u64, kind: NameKind, name: &str, id: u32) {
+        match self.slots.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert((kind, id));
+            }
+            Entry::Occupied(_) => {
+                self.overflow[kind as usize].insert(name.to_owned(), id);
+            }
+        }
+    }
+}
+
+/// Hasher for keys that already are hashes.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PreHashed only hashes u64 keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 /// Incremental, validating constructor for [`Workflow`].
+///
+/// Construction is linear in the number of task-file edges: `add_task`
+/// deduplicates its file lists with one pass over a per-file stamp array,
+/// and `build` assembles the adjacency with counting passes. `S` hashes
+/// names for the file and task lookups; see [`WorkflowBuilder::with_hasher`].
 ///
 /// ```
 /// use mcloud_dag::WorkflowBuilder;
@@ -249,14 +362,16 @@ impl Workflow {
 /// assert_eq!(wf.consumers(fb).len(), 2);
 /// ```
 #[derive(Debug, Default)]
-pub struct WorkflowBuilder {
+pub struct WorkflowBuilder<S = RandomState> {
     name: String,
     tasks: Vec<Task>,
     files: Vec<FileMeta>,
-    by_file_name: HashMap<String, FileId>,
-    by_task_name: HashMap<String, TaskId>,
+    names: NameIndex<S>,
     producer: Vec<Option<TaskId>>,
-    consumers: Vec<Vec<TaskId>>,
+    /// Per-file mark of the last `add_task` pass that saw the file; see
+    /// [`WorkflowBuilder::next_marks`].
+    stamp: Vec<u32>,
+    epoch: u32,
     /// Explicit `(parent, child)` control edges (Pegasus DAX
     /// `<child>/<parent>`), merged with the file-derived edges at build.
     control_edges: Vec<(TaskId, TaskId)>,
@@ -265,9 +380,28 @@ pub struct WorkflowBuilder {
 impl WorkflowBuilder {
     /// Starts an empty workflow with the given name.
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_hasher(name, RandomState::new())
+    }
+}
+
+impl<S: BuildHasher> WorkflowBuilder<S> {
+    /// Starts an empty workflow whose name index hashes with `hasher`.
+    /// Lookups are exact for any hasher; a weak one only sends more names
+    /// to the index's overflow map.
+    pub fn with_hasher(name: impl Into<String>, hasher: S) -> Self {
         WorkflowBuilder {
             name: name.into(),
-            ..Default::default()
+            tasks: Vec::new(),
+            files: Vec::new(),
+            names: NameIndex {
+                hasher,
+                slots: HashMap::default(),
+                overflow: Default::default(),
+            },
+            producer: Vec::new(),
+            stamp: Vec::new(),
+            epoch: 0,
+            control_edges: Vec::new(),
         }
     }
 
@@ -278,29 +412,39 @@ impl WorkflowBuilder {
     /// that is always a bug in the calling generator.
     pub fn file(&mut self, name: impl Into<String>, bytes: u64) -> FileId {
         let name = name.into();
-        if let Some(&id) = self.by_file_name.get(&name) {
+        let (hash, found) = self.lookup(NameKind::File, &name);
+        if let Some(id) = found {
             assert_eq!(
-                self.files[id.index()].bytes,
-                bytes,
+                self.files[id as usize].bytes, bytes,
                 "file '{name}' re-registered with a different size"
             );
-            return id;
+            return FileId(id);
         }
         let id = FileId(self.files.len() as u32);
+        self.names.insert(hash, NameKind::File, &name, id.0);
         self.files.push(FileMeta {
-            name: name.clone(),
+            name,
             bytes,
             deliverable: false,
         });
         self.producer.push(None);
-        self.consumers.push(Vec::new());
-        self.by_file_name.insert(name, id);
+        self.stamp.push(0);
         id
     }
 
     /// Looks up a previously registered file by name.
     pub fn find_file(&self, name: &str) -> Option<FileId> {
-        self.by_file_name.get(name).copied()
+        self.lookup(NameKind::File, name).1.map(FileId)
+    }
+
+    /// The hash of `name` in the name index and the id stored under it.
+    fn lookup(&self, kind: NameKind, name: &str) -> (u64, Option<u32>) {
+        let hash = self.names.hash(kind, name);
+        let id = self.names.get(hash, kind, name, |id| match kind {
+            NameKind::File => &self.files[id as usize].name,
+            NameKind::Task => &self.tasks[id as usize].name,
+        });
+        (hash, id)
     }
 
     /// Marks a file for stage-out to the user even if tasks consume it.
@@ -310,7 +454,8 @@ impl WorkflowBuilder {
 
     /// Adds a task. Input/output file lists are deduplicated preserving
     /// order. Fails on duplicate task names, invalid runtimes, a file that
-    /// is both input and output, or a second producer for a file.
+    /// is both input and output, or a second producer for a file; a failed
+    /// call leaves the builder unchanged.
     pub fn add_task(
         &mut self,
         name: impl Into<String>,
@@ -320,7 +465,8 @@ impl WorkflowBuilder {
         outputs: &[FileId],
     ) -> Result<TaskId, DagError> {
         let name = name.into();
-        if self.by_task_name.contains_key(&name) {
+        let (hash, found) = self.lookup(NameKind::Task, &name);
+        if found.is_some() {
             return Err(DagError::DuplicateTaskName(name));
         }
         if !runtime_s.is_finite() || runtime_s < 0.0 {
@@ -329,37 +475,64 @@ impl WorkflowBuilder {
                 runtime: runtime_s,
             });
         }
-        let inputs = dedup_preserving(inputs);
-        let outputs = dedup_preserving(outputs);
-        if let Some(f) = outputs.iter().find(|f| inputs.contains(f)) {
-            return Err(DagError::SelfLoop {
-                task: name,
+        let (in_mark, out_mark) = self.next_marks();
+        let mut ins = Vec::with_capacity(inputs.len());
+        for &f in inputs {
+            if self.stamp[f.index()] != in_mark {
+                self.stamp[f.index()] = in_mark;
+                ins.push(f);
+            }
+        }
+        let mut outs = Vec::with_capacity(outputs.len());
+        for &f in outputs {
+            let mark = &mut self.stamp[f.index()];
+            if *mark == in_mark {
+                return Err(DagError::SelfLoop {
+                    task: name,
+                    file: self.files[f.index()].name.clone(),
+                });
+            }
+            if *mark != out_mark {
+                *mark = out_mark;
+                outs.push(f);
+            }
+        }
+        if let Some((f, first)) = outs
+            .iter()
+            .find_map(|&f| self.producer[f.index()].map(|first| (f, first)))
+        {
+            return Err(DagError::DuplicateProducer {
                 file: self.files[f.index()].name.clone(),
+                first: self.tasks[first.index()].name.clone(),
+                second: name,
             });
         }
         let id = TaskId(self.tasks.len() as u32);
-        for &f in &outputs {
-            if let Some(first) = self.producer[f.index()] {
-                return Err(DagError::DuplicateProducer {
-                    file: self.files[f.index()].name.clone(),
-                    first: self.tasks[first.index()].name.clone(),
-                    second: name,
-                });
-            }
+        for &f in &outs {
             self.producer[f.index()] = Some(id);
         }
-        for &f in &inputs {
-            self.consumers[f.index()].push(id);
-        }
-        self.by_task_name.insert(name.clone(), id);
+        self.names.insert(hash, NameKind::Task, &name, id.0);
         self.tasks.push(Task {
             name,
             module: module.into(),
             runtime_s,
-            inputs,
-            outputs,
+            inputs: ins,
+            outputs: outs,
         });
         Ok(id)
+    }
+
+    /// Two fresh stamp values for one `add_task` pass: one marks the files
+    /// already in its input list, the other those in its output list. The
+    /// epoch advances on every call, failed ones included, so no stale
+    /// stamp can match.
+    fn next_marks(&mut self) -> (u32, u32) {
+        if self.epoch > u32::MAX - 2 {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        (self.epoch - 1, self.epoch)
     }
 
     /// Adds an explicit control dependency: `child` cannot start before
@@ -379,7 +552,7 @@ impl WorkflowBuilder {
 
     /// Looks up a previously added task by name.
     pub fn find_task(&self, name: &str) -> Option<TaskId> {
-        self.by_task_name.get(name).copied()
+        self.lookup(NameKind::Task, name).1.map(TaskId)
     }
 
     /// Validates the accumulated graph and freezes it into a [`Workflow`].
@@ -388,32 +561,44 @@ impl WorkflowBuilder {
             return Err(DagError::Empty);
         }
         let n = self.tasks.len();
-        // Derive task-level adjacency from file dependencies, then merge
-        // in the explicit control edges.
-        let mut parents: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        let mut children: Vec<Vec<TaskId>> = vec![Vec::new(); n];
-        for (t_idx, task) in self.tasks.iter().enumerate() {
-            let t = TaskId(t_idx as u32);
-            for &f in &task.inputs {
-                if let Some(p) = self.producer[f.index()] {
-                    parents[t_idx].push(p);
-                    children[p.index()].push(t);
-                }
-            }
-        }
-        for &(p, c) in &self.control_edges {
-            parents[c.index()].push(p);
-            children[p.index()].push(c);
-        }
-        for list in parents.iter_mut().chain(children.iter_mut()) {
-            list.sort_unstable();
-            list.dedup();
-        }
+        let tasks = &self.tasks;
+        let producer = &self.producer;
+        // Inputs are deduplicated and tasks are visited in id order, so
+        // every consumer row comes out sorted and distinct.
+        let consumers = Csr::group(
+            self.files.len(),
+            tasks.iter().enumerate().flat_map(|(t, task)| {
+                task.inputs
+                    .iter()
+                    .map(move |f| (f.index(), TaskId(t as u32)))
+            }),
+        );
+        // Children: every file-derived and control edge `p -> t`, emitted
+        // in child order, so each row is sorted with any duplicates
+        // adjacent. Parents are then the transpose, sorted by the same
+        // argument.
+        let control = Csr::group(n, self.control_edges.iter().map(|&(p, c)| (c.index(), p)));
+        let control = &control;
+        let mut children = Csr::group(
+            n,
+            tasks.iter().enumerate().flat_map(|(t, task)| {
+                task.inputs
+                    .iter()
+                    .filter_map(|f| producer[f.index()])
+                    .chain(control.row(t).iter().copied())
+                    .map(move |p| (p.index(), TaskId(t as u32)))
+            }),
+        );
+        children.dedup_sorted_rows();
+        let parents = Csr::group(
+            n,
+            children.pairs().map(|(p, c)| (c.index(), TaskId(p as u32))),
+        );
         // Kahn's algorithm to reject cycles. (A cycle is impossible when
         // tasks can only consume files registered before them *if* callers
         // always produce before consuming, but the builder allows forward
         // file references, so check explicitly.)
-        let mut indeg: Vec<usize> = parents.iter().map(Vec::len).collect();
+        let mut indeg: Vec<u32> = parents.offsets.windows(2).map(|w| w[1] - w[0]).collect();
         let mut ready: Vec<usize> = indeg
             .iter()
             .enumerate()
@@ -423,7 +608,7 @@ impl WorkflowBuilder {
         let mut seen = 0usize;
         while let Some(i) = ready.pop() {
             seen += 1;
-            for c in &children[i] {
+            for c in children.row(i) {
                 indeg[c.index()] -= 1;
                 if indeg[c.index()] == 0 {
                     ready.push(c.index());
@@ -441,21 +626,11 @@ impl WorkflowBuilder {
             self.tasks,
             self.files,
             self.producer,
-            self.consumers,
+            consumers,
             parents,
             children,
         ))
     }
-}
-
-fn dedup_preserving(ids: &[FileId]) -> Vec<FileId> {
-    let mut out = Vec::with_capacity(ids.len());
-    for &f in ids {
-        if !out.contains(&f) {
-            out.push(f);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -591,6 +766,33 @@ mod tests {
         let wf = b.build().unwrap();
         assert_eq!(wf.task(t).inputs, vec![a]);
         assert_eq!(wf.task(t).outputs, vec![x]);
+    }
+
+    #[test]
+    fn stamp_epoch_wraps_without_stale_marks() {
+        let mut b = WorkflowBuilder::new("w");
+        let f: Vec<FileId> = (0..4).map(|i| b.file(format!("f{i}"), 1)).collect();
+        b.epoch = u32::MAX - 3;
+        let mut tasks = Vec::new();
+        for i in 0..4 {
+            let out = b.file(format!("out{i}"), 1);
+            let t = b
+                .add_task(
+                    format!("t{i}"),
+                    "m",
+                    1.0,
+                    &[f[2], f[0], f[2], f[3], f[0]],
+                    &[out, out],
+                )
+                .unwrap();
+            tasks.push((t, out));
+        }
+        assert!(b.epoch < 8, "the epoch wrapped around: {}", b.epoch);
+        let wf = b.build().unwrap();
+        for (t, out) in tasks {
+            assert_eq!(wf.task(t).inputs, vec![f[2], f[0], f[3]]);
+            assert_eq!(wf.task(t).outputs, vec![out]);
+        }
     }
 
     #[test]
