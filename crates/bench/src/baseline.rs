@@ -507,7 +507,7 @@ pub struct CacheRow {
 /// Top of the dense `1..=N` processor grid the cache row probes.
 const CACHE_GRID_PROCS: u32 = 16;
 
-/// Measures the cache row against *local* [`ResultCache`]s (never the
+/// Measures the cache row against *local* [`mcloud_cache::ResultCache`]s (never the
 /// process-wide one, so the counters are exact and isolated): a cold and
 /// a warm batch pass over a dense 1° processor grid, a four-thread
 /// single-flight race on one cold key, a capacity-planner double-run,

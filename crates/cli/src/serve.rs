@@ -15,7 +15,9 @@
 //!
 //! Requests name scenarios with the CLI's own flag vocabulary —
 //! `{"op": "simulate", "args": ["--degrees", "1", "--procs", "8"]}` —
-//! so anything `mcloud simulate` can price, the server can answer.
+//! so anything `mcloud simulate` can price, the server can answer, up
+//! to [`MAX_SCENARIO_TASKS`]: a larger scenario is refused from its
+//! size alone, before its workflow is generated.
 //! Results are memoized in the process-wide content-addressed
 //! [`ResultCache`](mcloud_cache): a repeated query is a digest lookup
 //! (no workflow generation, no simulation), batch misses fan out
@@ -28,6 +30,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use mcloud_cache::{decode_report, encode_report, DEFAULT_BUDGET_BYTES};
 use mcloud_core::{
@@ -47,7 +50,9 @@ mcloud serve — answer what-if scenario queries over stdio or HTTP
 stdio protocol (default): length-prefixed JSON frames. Each request is
 an ASCII decimal byte count, '\\n', then that many bytes of JSON; each
 response is framed the same way. EOF ends the session. A request over
-16 MiB is refused: an error frame ends the session (HTTP: 413).
+16 MiB is refused: an error frame ends the session (HTTP: 413). A
+simulate or batch scenario over 1048576 tasks is refused with an error
+frame (HTTP: 400) before anything is generated.
 
 requests:
   {\"op\": \"simulate\", \"args\": [\"--degrees\", \"1\", \"--procs\", \"8\"]}
@@ -96,14 +101,7 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
                 .map(|a| a.to_string())
                 .unwrap_or_else(|_| addr.to_string());
             eprintln!("serving HTTP on {bound}");
-            for stream in listener.incoming() {
-                let mut stream = stream.map_err(|e| format!("accept failed: {e}"))?;
-                // One request per connection; a malformed request only
-                // poisons its own connection, never the server.
-                if let Err(e) = handle_http(&mut stream) {
-                    eprintln!("note: dropped connection: {e}");
-                }
-            }
+            accept_loop(listener.incoming(), &mut std::io::stderr());
             Ok(String::new())
         }
         None => {
@@ -124,6 +122,12 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
 /// HTTP body. A larger length is refused before anything is allocated
 /// for it, so no header can make the server reserve unbounded memory.
 const MAX_REQUEST_BYTES: u64 = 16 * 1024 * 1024;
+
+/// The largest workflow a `simulate` or `batch` scenario may ask for, in
+/// tasks: far above 16°'s 48,897, yet small enough that one request
+/// cannot claim unbounded memory or time. Checked from the recipe
+/// before anything is generated.
+const MAX_SCENARIO_TASKS: u64 = 1 << 20;
 
 /// Runs one framed request/response session to EOF; returns the number
 /// of requests answered. Factored over `BufRead`/`Write` so tests drive
@@ -297,6 +301,13 @@ fn scenario_from(raw: &[String]) -> Result<Scenario, String> {
     if !(degrees.is_finite() && degrees > 0.0) {
         return Err(format!("--degrees must be positive, got {degrees}"));
     }
+    let tasks = MosaicConfig::new(degrees).expected_tasks();
+    if tasks > MAX_SCENARIO_TASKS {
+        return Err(format!(
+            "--degrees {degrees} asks for a {tasks}-task workflow; \
+             the server admits at most {MAX_SCENARIO_TASKS} tasks"
+        ));
+    }
     let mut recipe = ScenarioRecipe::new(degrees);
     if let Some(seed) = args.get_parsed::<u64>("seed")? {
         recipe.seed = seed;
@@ -407,6 +418,35 @@ fn op_batch(request: &Value) -> Result<String, String> {
     }
     out.push_str("]}\n");
     Ok(out)
+}
+
+/// How long the listener pauses after a failed accept, so a persistent
+/// error (such as running out of file descriptors) does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Serves connections from `incoming` until it ends; returns how many it
+/// took. A failed accept is logged to `log` and skipped, and a malformed
+/// request only poisons its own connection: neither ends the loop.
+fn accept_loop<S: Read + Write>(
+    incoming: impl IntoIterator<Item = std::io::Result<S>>,
+    log: &mut impl Write,
+) -> u64 {
+    let mut taken = 0;
+    for stream in incoming {
+        match stream {
+            Ok(mut stream) => {
+                if let Err(e) = handle_http(&mut stream) {
+                    let _ = writeln!(log, "note: dropped connection: {e}");
+                }
+                taken += 1;
+            }
+            Err(e) => {
+                let _ = writeln!(log, "note: accept failed: {e}");
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
+        }
+    }
+    taken
 }
 
 /// Serves one HTTP/1.1 exchange on an established connection, then
@@ -730,6 +770,74 @@ mod tests {
         assert!(metrics.contains("mcloud_cache_misses_total"), "{metrics}");
 
         assert!(http(b"GET /nope HTTP/1.1\r\n\r\n").starts_with("HTTP/1.1 404"));
+    }
+
+    #[test]
+    fn a_failed_accept_is_logged_and_the_loop_goes_on() {
+        let request = |body: &str| Duplex {
+            input: Cursor::new(
+                format!(
+                    "POST /simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .into_bytes(),
+            ),
+            output: Vec::new(),
+        };
+        let mut first = request(r#"{"args": ["--degrees", "0.2", "--procs", "2"]}"#);
+        let mut second = request(r#"{"args": ["--degrees", "0.2", "--procs", "3"]}"#);
+        let incoming = vec![
+            Err(std::io::Error::other("too many open files")),
+            Ok(&mut first),
+            Err(std::io::Error::from(std::io::ErrorKind::ConnectionAborted)),
+            Ok(&mut second),
+        ];
+        let mut log = Vec::new();
+        assert_eq!(accept_loop(incoming, &mut log), 2);
+        let log = String::from_utf8(log).unwrap();
+        assert_eq!(log.matches("note: accept failed: ").count(), 2, "{log}");
+        assert!(log.contains("too many open files"), "{log}");
+        for conn in [first, second] {
+            let resp = String::from_utf8(conn.output).unwrap();
+            assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
+        }
+    }
+
+    #[test]
+    fn oversized_scenarios_are_refused_before_generation() {
+        for degrees in ["1000", "1e12"] {
+            let q = format!(r#"{{"op": "simulate", "args": ["--degrees", "{degrees}"]}}"#);
+            let batch = format!(
+                r#"{{"op": "batch", "scenarios": [["--degrees", "0.2"], ["--degrees", "{degrees}"]]}}"#
+            );
+            let (served, out) = run_session(&[&q, &batch]);
+            assert_eq!(served, 2, "{degrees}");
+            let mut cursor = Cursor::new(out.into_bytes());
+            for _ in 0..2 {
+                let Some(Frame::Request(resp)) = read_frame(&mut cursor).unwrap() else {
+                    panic!("{degrees}: response missing");
+                };
+                assert!(resp.starts_with("{\"ok\": false"), "{resp}");
+                assert!(
+                    resp.contains("the server admits at most 1048576 tasks"),
+                    "{resp}"
+                );
+            }
+            let body = format!(r#"{{"args": ["--degrees", "{degrees}"]}}"#);
+            let resp = http(
+                format!(
+                    "POST /simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                )
+                .as_bytes(),
+            );
+            assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+            assert!(resp.contains("admits at most"), "{resp}");
+        }
+        // The largest admitted sizes still parse.
+        let args = |d: &str| vec!["--degrees".to_string(), d.to_string()];
+        assert!(scenario_from(&args("64")).is_ok());
+        assert!(scenario_from(&args("200")).is_err());
     }
 
     #[test]

@@ -455,11 +455,11 @@ pub fn profile_trace(wf: &Workflow, events: &[TimedEvent]) -> WorkflowProfile {
         std::collections::HashMap::new();
     let mut classes: Vec<ClassProfile> = Vec::new();
     for tp in &tasks {
-        let module = &wf.task(tp.task).module;
-        let ci = *class_index.entry(module.clone()).or_insert_with(|| {
-            class_order.push(module.clone());
+        let module = wf.task(tp.task).module;
+        let ci = *class_index.entry(module.to_owned()).or_insert_with(|| {
+            class_order.push(module.to_owned());
             classes.push(ClassProfile {
-                class: module.clone(),
+                class: module.to_owned(),
                 tasks: 0,
                 attempts: 0,
                 queue_wait_s: 0.0,
@@ -839,7 +839,7 @@ pub fn profile_text(
     let path_names: Vec<&str> = profile
         .observed_critical_path
         .iter()
-        .map(|&t| wf.task(t).name.as_str())
+        .map(|&t| wf.task(t).name)
         .collect();
     writeln!(out, "observed critical path: {}", path_names.join(" -> ")).unwrap();
     out
@@ -971,7 +971,7 @@ pub fn profile_json(
         if i > 0 {
             out.push(',');
         }
-        write!(out, r#""{}""#, json_esc(&wf.task(t).name)).unwrap();
+        write!(out, r#""{}""#, json_esc(wf.task(t).name)).unwrap();
     }
     out.push_str("]}\n");
     out
@@ -1184,7 +1184,7 @@ mod tests {
         let names: Vec<&str> = p
             .observed_critical_path
             .iter()
-            .map(|&t| wf.task(t).name.as_str())
+            .map(|&t| wf.task(t).name)
             .collect();
         assert_eq!(names, vec!["a", "b", "d"]); // through the 20 s branch
         assert!((p.observed_critical_exec_s - 38.0).abs() < 1e-3);

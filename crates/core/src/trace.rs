@@ -99,7 +99,7 @@ fn esc(s: &str) -> String {
 }
 
 fn task_name(wf: &Workflow, task: u32) -> String {
-    esc(&wf.task(TaskId(task)).name)
+    esc(wf.task(TaskId(task)).name)
 }
 
 /// Serializes a recorded event stream as JSON Lines, one event per line.

@@ -9,16 +9,17 @@
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::error::DagError;
 use crate::ids::{FileId, TaskId};
 
-/// A data product moved through the workflow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileMeta {
+/// One data product of a workflow, borrowed from the workflow's columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileRef<'a> {
     /// Unique logical file name (e.g. `proj_2_3.fits`).
-    pub name: String,
+    pub name: &'a str,
     /// Size in bytes.
     pub bytes: u64,
     /// Marked for stage-out to the user even if some task consumes it
@@ -26,20 +27,66 @@ pub struct FileMeta {
     pub deliverable: bool,
 }
 
-/// One invocation of an application routine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Task {
+/// One invocation of an application routine, borrowed from the
+/// workflow's columns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskRef<'a> {
     /// Unique task name (e.g. `mProject_12`).
-    pub name: String,
+    pub name: &'a str,
     /// The routine this task invokes (e.g. `mProject`); the paper calls all
     /// same-level Montage tasks invocations of the same routine.
-    pub module: String,
+    pub module: &'a str,
     /// Runtime on the reference CPU, in seconds.
     pub runtime_s: f64,
     /// Files read (deduplicated, in registration order).
-    pub inputs: Vec<FileId>,
+    pub inputs: &'a [FileId],
     /// Files written (deduplicated, in registration order).
-    pub outputs: Vec<FileId>,
+    pub outputs: &'a [FileId],
+}
+
+/// Strings stored end to end in one buffer: string `i` is
+/// `text[ends[i - 1]..ends[i]]`. Two allocations hold any number of names.
+///
+/// A name is first *staged* after the last stored one, where it can be
+/// hashed and compared in place, and then either committed or discarded.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn stored_len(&self) -> usize {
+        self.ends.last().map_or(0, |&end| end as usize)
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// Writes `name` after the stored names, replacing any staged one.
+    fn stage(&mut self, name: impl fmt::Display) {
+        self.discard();
+        write!(self.text, "{name}").expect("writing to a String cannot fail");
+    }
+
+    fn staged(&self) -> &str {
+        &self.text[self.stored_len()..]
+    }
+
+    fn commit(&mut self) {
+        let end = u32::try_from(self.text.len()).expect("names exceed the u32 offset range");
+        self.ends.push(end);
+    }
+
+    fn discard(&mut self) {
+        self.text.truncate(self.stored_len());
+    }
 }
 
 /// Adjacency lists flattened into compressed-sparse-row form: the list for
@@ -47,21 +94,65 @@ pub struct Task {
 /// plus one flat ids array replaces a `Vec<Vec<_>>`, so looking up a row is
 /// two loads with no pointer chase per row and the whole structure is two
 /// allocations regardless of row count.
+///
+/// Rows can also be appended one at a time: ids pushed after the last
+/// offset form a staged row until [`Csr::commit_row`] or
+/// [`Csr::discard_row`].
 #[derive(Debug, Clone)]
-struct Csr {
+struct Csr<T = TaskId> {
     offsets: Vec<u32>,
-    ids: Vec<TaskId>,
+    ids: Vec<T>,
 }
 
-impl Csr {
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            offsets: vec![0],
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    fn row(&self, i: usize) -> &[T] {
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Every `(row, id)` pair, rows in order.
+    fn pairs(&self) -> impl Iterator<Item = (usize, T)> + Clone + '_ {
+        self.offsets.windows(2).enumerate().flat_map(move |(r, w)| {
+            self.ids[w[0] as usize..w[1] as usize]
+                .iter()
+                .map(move |&id| (r, id))
+        })
+    }
+
+    fn staged(&self) -> &[T] {
+        &self.ids[self.stored_len()..]
+    }
+
+    fn stored_len(&self) -> usize {
+        self.offsets[self.offsets.len() - 1] as usize
+    }
+
+    fn commit_row(&mut self) {
+        let end = u32::try_from(self.ids.len()).expect("adjacency exceeds the u32 offset range");
+        self.offsets.push(end);
+    }
+
+    fn discard_row(&mut self) {
+        self.ids.truncate(self.stored_len());
+    }
+}
+
+impl Csr<TaskId> {
     /// Groups `(row, id)` pairs into `rows` rows with a stable counting
     /// sort: each row lists its ids in iteration order. The pairs are
-    /// walked twice, once to count and once to fill.
+    /// walked twice, once to count and once to fill, with `for_each`,
+    /// which runs nested iterators as plain loops.
     fn group(rows: usize, pairs: impl Iterator<Item = (usize, TaskId)> + Clone) -> Self {
         let mut offsets = vec![0u32; rows + 1];
-        for (r, _) in pairs.clone() {
-            offsets[r + 1] += 1;
-        }
+        pairs.clone().for_each(|(r, _)| offsets[r + 1] += 1);
         for r in 0..rows {
             offsets[r + 1] = offsets[r]
                 .checked_add(offsets[r + 1])
@@ -69,10 +160,10 @@ impl Csr {
         }
         let mut next = offsets[..rows].to_vec();
         let mut ids = vec![TaskId(0); offsets[rows] as usize];
-        for (r, id) in pairs {
+        pairs.for_each(|(r, id)| {
             ids[next[r] as usize] = id;
             next[r] += 1;
-        }
+        });
         Csr { offsets, ids }
     }
 
@@ -95,18 +186,51 @@ impl Csr {
         }
         self.ids.truncate(write);
     }
+}
 
-    /// Every `(row, id)` pair, rows in order.
-    fn pairs(&self) -> impl Iterator<Item = (usize, TaskId)> + Clone + '_ {
-        self.offsets.windows(2).enumerate().flat_map(move |(r, w)| {
-            self.ids[w[0] as usize..w[1] as usize]
-                .iter()
-                .map(move |&id| (r, id))
-        })
+/// What a workflow stores per task and per file, one column per field.
+/// Shared by [`WorkflowBuilder`], which appends to it, and [`Workflow`],
+/// which hands out [`TaskRef`] and [`FileRef`] views of it.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    file_names: Names,
+    file_bytes: Vec<u64>,
+    deliverable: Vec<bool>,
+    task_names: Names,
+    /// Each distinct module once, in order of first use.
+    modules: Names,
+    /// Per task, an index into `modules`.
+    task_module: Vec<u32>,
+    runtime_s: Vec<f64>,
+    inputs: Csr<FileId>,
+    outputs: Csr<FileId>,
+}
+
+impl Columns {
+    fn num_tasks(&self) -> usize {
+        self.runtime_s.len()
     }
 
-    fn row(&self, i: usize) -> &[TaskId] {
-        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    fn num_files(&self) -> usize {
+        self.file_bytes.len()
+    }
+
+    fn task(&self, i: usize) -> TaskRef<'_> {
+        TaskRef {
+            name: self.task_names.get(i),
+            module: self.modules.get(self.task_module[i] as usize),
+            runtime_s: self.runtime_s[i],
+            inputs: self.inputs.row(i),
+            outputs: self.outputs.row(i),
+        }
+    }
+
+    fn file(&self, i: usize) -> FileRef<'_> {
+        FileRef {
+            name: self.file_names.get(i),
+            bytes: self.file_bytes[i],
+            deliverable: self.deliverable[i],
+        }
     }
 }
 
@@ -115,15 +239,17 @@ impl Csr {
 /// Construct via [`WorkflowBuilder`]; validation guarantees the graph is
 /// non-empty, acyclic, and that every file has at most one producer.
 ///
-/// All adjacency (file consumers, task parents/children) is stored in CSR
-/// form and every derived file set (external inputs, staged-out files) is
-/// computed once at construction, so the accessors used by the simulation
-/// engine's event loop are allocation-free slice borrows.
+/// Tasks and files are stored as columns in a handful of flat allocations
+/// (names in two string arenas, modules interned, file lists in CSR form)
+/// and read through [`TaskRef`] and [`FileRef`] views. All adjacency (file
+/// consumers, task parents/children) is stored in CSR form too, and every
+/// derived file set (external inputs, staged-out files) is computed once
+/// at construction, so the accessors used by the simulation engine's event
+/// loop are allocation-free slice borrows.
 #[derive(Debug, Clone)]
 pub struct Workflow {
     name: String,
-    tasks: Vec<Task>,
-    files: Vec<FileMeta>,
+    cols: Columns,
     producer: Vec<Option<TaskId>>,
     consumers: Csr,
     parents: Csr,
@@ -140,42 +266,68 @@ impl Workflow {
 
     /// Number of tasks.
     pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
+        self.cols.num_tasks()
     }
 
     /// Number of distinct files.
     pub fn num_files(&self) -> usize {
-        self.files.len()
+        self.cols.num_files()
     }
 
-    /// All tasks, indexable by [`TaskId`].
-    pub fn tasks(&self) -> &[Task] {
-        &self.tasks
+    /// All tasks in [`TaskId`] order.
+    pub fn tasks(&self) -> impl ExactSizeIterator<Item = TaskRef<'_>> + Clone + '_ {
+        (0..self.num_tasks()).map(|i| self.cols.task(i))
     }
 
-    /// All files, indexable by [`FileId`].
-    pub fn files(&self) -> &[FileMeta] {
-        &self.files
+    /// All files in [`FileId`] order.
+    pub fn files(&self) -> impl ExactSizeIterator<Item = FileRef<'_>> + Clone + '_ {
+        (0..self.num_files()).map(|i| self.cols.file(i))
     }
 
     /// A single task.
-    pub fn task(&self, id: TaskId) -> &Task {
-        &self.tasks[id.index()]
+    pub fn task(&self, id: TaskId) -> TaskRef<'_> {
+        self.cols.task(id.index())
     }
 
     /// A single file.
-    pub fn file(&self, id: FileId) -> &FileMeta {
-        &self.files[id.index()]
+    pub fn file(&self, id: FileId) -> FileRef<'_> {
+        self.cols.file(id.index())
+    }
+
+    /// The distinct modules of the workflow's tasks, in order of first use.
+    pub fn modules(&self) -> impl ExactSizeIterator<Item = &str> + Clone + '_ {
+        (0..self.cols.modules.len()).map(|m| self.cols.modules.get(m))
+    }
+
+    /// A task's runtime on the reference CPU, in seconds; the same as
+    /// `task(id).runtime_s` without building the whole view.
+    pub fn runtime_s(&self, task: TaskId) -> f64 {
+        self.cols.runtime_s[task.index()]
+    }
+
+    /// The files a task reads; the same as `task(id).inputs`.
+    pub fn inputs(&self, task: TaskId) -> &[FileId] {
+        self.cols.inputs.row(task.index())
+    }
+
+    /// The files a task writes; the same as `task(id).outputs`.
+    pub fn outputs(&self, task: TaskId) -> &[FileId] {
+        self.cols.outputs.row(task.index())
+    }
+
+    /// A file's size in bytes; the same as `file(id).bytes`.
+    pub fn bytes(&self, file: FileId) -> u64 {
+        self.cols.file_bytes[file.index()]
     }
 
     /// Iterator over all task ids in index order.
     pub fn task_ids(&self) -> impl ExactSizeIterator<Item = TaskId> {
-        (0..self.tasks.len() as u32).map(TaskId)
+        (0..self.num_tasks() as u32).map(TaskId)
     }
 
     /// Iterator over all file ids in index order.
     pub fn file_ids(&self) -> impl ExactSizeIterator<Item = FileId> {
-        (0..self.files.len() as u32).map(FileId)
+        (0..self.num_files() as u32).map(FileId)
     }
 
     /// The task that writes `file`, or `None` for an external input.
@@ -224,37 +376,41 @@ impl Workflow {
             factor.is_finite() && factor > 0.0,
             "scale factor must be positive and finite, got {factor}"
         );
-        for f in &mut self.files {
-            if f.bytes > 0 {
-                f.bytes = ((f.bytes as f64 * factor).round() as u64).max(1);
+        for bytes in &mut self.cols.file_bytes {
+            if *bytes > 0 {
+                *bytes = ((*bytes as f64 * factor).round() as u64).max(1);
             }
         }
     }
 
+    /// Per-task module index into [`Workflow::modules`].
+    pub(crate) fn module_index(&self, task: TaskId) -> usize {
+        self.cols.task_module[task.index()] as usize
+    }
+
     fn from_parts(
         name: String,
-        tasks: Vec<Task>,
-        files: Vec<FileMeta>,
+        cols: Columns,
         producer: Vec<Option<TaskId>>,
         consumers: Csr,
         parents: Csr,
         children: Csr,
     ) -> Self {
-        let external_inputs: Vec<FileId> = (0..files.len() as u32)
+        let files = cols.num_files() as u32;
+        let external_inputs: Vec<FileId> = (0..files)
             .map(FileId)
             .filter(|f| producer[f.index()].is_none())
             .collect();
-        let staged_out: Vec<FileId> = (0..files.len() as u32)
+        let staged_out: Vec<FileId> = (0..files)
             .map(FileId)
             .filter(|f| {
                 producer[f.index()].is_some()
-                    && (files[f.index()].deliverable || consumers.row(f.index()).is_empty())
+                    && (cols.deliverable[f.index()] || consumers.row(f.index()).is_empty())
             })
             .collect();
         Workflow {
             name,
-            tasks,
-            files,
+            cols,
             producer,
             consumers,
             parents,
@@ -270,20 +426,22 @@ impl Workflow {
 enum NameKind {
     File = 0,
     Task = 1,
+    Module = 2,
 }
 
-/// Name lookup for files and tasks that does not store the names twice.
+/// Name lookup for files, tasks and modules that does not store the names
+/// twice.
 ///
 /// The index keys each entry by a 64-bit hash of its kind and name and
 /// confirms a hit against the name the builder already stores in its
-/// [`FileMeta`] or [`Task`]. A name whose hash slot is taken by a different
-/// name goes to a per-kind overflow map, which owns a copy of it; with a
-/// good hasher that map stays empty.
+/// arenas. A name whose hash slot is taken by a different name goes to a
+/// per-kind overflow map, which owns a copy of it; with a good hasher that
+/// map stays empty.
 #[derive(Debug, Default)]
 struct NameIndex<S> {
     hasher: S,
     slots: HashMap<u64, (NameKind, u32), BuildHasherDefault<PreHashed>>,
-    overflow: [HashMap<String, u32>; 2],
+    overflow: [HashMap<String, u32>; 3],
 }
 
 impl<S: BuildHasher> NameIndex<S> {
@@ -342,8 +500,10 @@ impl Hasher for PreHashed {
 ///
 /// Construction is linear in the number of task-file edges: `add_task`
 /// deduplicates its file lists with one pass over a per-file stamp array,
-/// and `build` assembles the adjacency with counting passes. `S` hashes
-/// names for the file and task lookups; see [`WorkflowBuilder::with_hasher`].
+/// and `build` assembles the adjacency with counting passes. Names are
+/// written straight into the workflow's name arenas, so registering a file
+/// or a task allocates nothing per call. `S` hashes names for the file,
+/// task and module lookups; see [`WorkflowBuilder::with_hasher`].
 ///
 /// ```
 /// use mcloud_dag::WorkflowBuilder;
@@ -356,16 +516,16 @@ impl Hasher for PreHashed {
 /// let fd = b.file("d", 50);
 /// b.add_task("t0", "gen", 10.0, &[fa], &[fb]).unwrap();
 /// b.add_task("t1", "use", 5.0, &[fb], &[fc]).unwrap();
-/// b.add_task("t2", "use", 5.0, &[fb], &[fd]).unwrap();
+/// b.add_task(format_args!("t{}", 2), "use", 5.0, &[fb], &[fd]).unwrap();
 /// let wf = b.build().unwrap();
 /// assert_eq!(wf.num_tasks(), 3);
 /// assert_eq!(wf.consumers(fb).len(), 2);
+/// assert_eq!(wf.task(mcloud_dag::TaskId(2)).name, "t2");
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WorkflowBuilder<S = RandomState> {
     name: String,
-    tasks: Vec<Task>,
-    files: Vec<FileMeta>,
+    cols: Columns,
     names: NameIndex<S>,
     producer: Vec<Option<TaskId>>,
     /// Per-file mark of the last `add_task` pass that saw the file; see
@@ -391,8 +551,7 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
     pub fn with_hasher(name: impl Into<String>, hasher: S) -> Self {
         WorkflowBuilder {
             name: name.into(),
-            tasks: Vec::new(),
-            files: Vec::new(),
+            cols: Columns::default(),
             names: NameIndex {
                 hasher,
                 slots: HashMap::default(),
@@ -406,27 +565,31 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
     }
 
     /// Registers (or looks up) a file by name. Registration is idempotent.
+    /// The name is formatted straight into the workflow's name arena, so
+    /// `format_args!` names cost no allocation.
     ///
     /// # Panics
     /// Panics if the name was already registered with a *different* size —
     /// that is always a bug in the calling generator.
-    pub fn file(&mut self, name: impl Into<String>, bytes: u64) -> FileId {
-        let name = name.into();
-        let (hash, found) = self.lookup(NameKind::File, &name);
+    pub fn file(&mut self, name: impl fmt::Display, bytes: u64) -> FileId {
+        self.cols.file_names.stage(name);
+        let (hash, found) = self.lookup(NameKind::File, self.cols.file_names.staged());
         if let Some(id) = found {
             assert_eq!(
-                self.files[id as usize].bytes, bytes,
-                "file '{name}' re-registered with a different size"
+                self.cols.file_bytes[id as usize],
+                bytes,
+                "file '{}' re-registered with a different size",
+                self.cols.file_names.staged()
             );
+            self.cols.file_names.discard();
             return FileId(id);
         }
-        let id = FileId(self.files.len() as u32);
-        self.names.insert(hash, NameKind::File, &name, id.0);
-        self.files.push(FileMeta {
-            name,
-            bytes,
-            deliverable: false,
-        });
+        let id = FileId(self.cols.num_files() as u32);
+        self.names
+            .insert(hash, NameKind::File, self.cols.file_names.staged(), id.0);
+        self.cols.file_names.commit();
+        self.cols.file_bytes.push(bytes);
+        self.cols.deliverable.push(false);
         self.producer.push(None);
         self.stamp.push(0);
         id
@@ -440,86 +603,132 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
     /// The hash of `name` in the name index and the id stored under it.
     fn lookup(&self, kind: NameKind, name: &str) -> (u64, Option<u32>) {
         let hash = self.names.hash(kind, name);
-        let id = self.names.get(hash, kind, name, |id| match kind {
-            NameKind::File => &self.files[id as usize].name,
-            NameKind::Task => &self.tasks[id as usize].name,
-        });
+        let stored = match kind {
+            NameKind::File => &self.cols.file_names,
+            NameKind::Task => &self.cols.task_names,
+            NameKind::Module => &self.cols.modules,
+        };
+        let id = self
+            .names
+            .get(hash, kind, name, |id| stored.get(id as usize));
         (hash, id)
     }
 
     /// Marks a file for stage-out to the user even if tasks consume it.
     pub fn mark_deliverable(&mut self, file: FileId) {
-        self.files[file.index()].deliverable = true;
+        self.cols.deliverable[file.index()] = true;
     }
 
     /// Adds a task. Input/output file lists are deduplicated preserving
     /// order. Fails on duplicate task names, invalid runtimes, a file that
     /// is both input and output, or a second producer for a file; a failed
-    /// call leaves the builder unchanged.
+    /// call leaves the builder unchanged. Like [`WorkflowBuilder::file`],
+    /// the name is formatted straight into the name arena.
     pub fn add_task(
         &mut self,
-        name: impl Into<String>,
-        module: impl Into<String>,
+        name: impl fmt::Display,
+        module: &str,
         runtime_s: f64,
         inputs: &[FileId],
         outputs: &[FileId],
     ) -> Result<TaskId, DagError> {
-        let name = name.into();
-        let (hash, found) = self.lookup(NameKind::Task, &name);
+        self.cols.task_names.stage(name);
+        let hash = match self.stage_task(runtime_s, inputs, outputs) {
+            Ok(hash) => hash,
+            Err(e) => {
+                self.cols.task_names.discard();
+                self.cols.inputs.discard_row();
+                self.cols.outputs.discard_row();
+                return Err(e);
+            }
+        };
+        let id = TaskId(self.cols.num_tasks() as u32);
+        for &f in self.cols.outputs.staged() {
+            self.producer[f.index()] = Some(id);
+        }
+        self.names
+            .insert(hash, NameKind::Task, self.cols.task_names.staged(), id.0);
+        self.cols.task_names.commit();
+        self.cols.inputs.commit_row();
+        self.cols.outputs.commit_row();
+        let module = self.intern_module(module);
+        self.cols.task_module.push(module);
+        self.cols.runtime_s.push(runtime_s);
+        Ok(id)
+    }
+
+    /// Checks the task whose name is staged and stages its deduplicated
+    /// input and output rows; returns the hash of its name. Claims
+    /// nothing: on `Err` the caller discards the staged name and rows.
+    fn stage_task(
+        &mut self,
+        runtime_s: f64,
+        inputs: &[FileId],
+        outputs: &[FileId],
+    ) -> Result<u64, DagError> {
+        let (hash, found) = self.lookup(NameKind::Task, self.cols.task_names.staged());
+        let name = |cols: &Columns| cols.task_names.staged().to_owned();
         if found.is_some() {
-            return Err(DagError::DuplicateTaskName(name));
+            return Err(DagError::DuplicateTaskName(name(&self.cols)));
         }
         if !runtime_s.is_finite() || runtime_s < 0.0 {
             return Err(DagError::InvalidRuntime {
-                task: name,
+                task: name(&self.cols),
                 runtime: runtime_s,
             });
         }
         let (in_mark, out_mark) = self.next_marks();
-        let mut ins = Vec::with_capacity(inputs.len());
         for &f in inputs {
             if self.stamp[f.index()] != in_mark {
                 self.stamp[f.index()] = in_mark;
-                ins.push(f);
+                self.cols.inputs.ids.push(f);
             }
         }
-        let mut outs = Vec::with_capacity(outputs.len());
         for &f in outputs {
             let mark = &mut self.stamp[f.index()];
             if *mark == in_mark {
                 return Err(DagError::SelfLoop {
-                    task: name,
-                    file: self.files[f.index()].name.clone(),
+                    task: name(&self.cols),
+                    file: self.cols.file_names.get(f.index()).to_owned(),
                 });
             }
             if *mark != out_mark {
                 *mark = out_mark;
-                outs.push(f);
+                self.cols.outputs.ids.push(f);
             }
         }
-        if let Some((f, first)) = outs
+        if let Some((f, first)) = self
+            .cols
+            .outputs
+            .staged()
             .iter()
             .find_map(|&f| self.producer[f.index()].map(|first| (f, first)))
         {
             return Err(DagError::DuplicateProducer {
-                file: self.files[f.index()].name.clone(),
-                first: self.tasks[first.index()].name.clone(),
-                second: name,
+                file: self.cols.file_names.get(f.index()).to_owned(),
+                first: self.cols.task_names.get(first.index()).to_owned(),
+                second: name(&self.cols),
             });
         }
-        let id = TaskId(self.tasks.len() as u32);
-        for &f in &outs {
-            self.producer[f.index()] = Some(id);
+        Ok(hash)
+    }
+
+    /// The index of `module` among the distinct modules, adding it if new.
+    fn intern_module(&mut self, module: &str) -> u32 {
+        // Generators add the tasks of one module together.
+        if let Some(&last) = self.cols.task_module.last() {
+            if self.cols.modules.get(last as usize) == module {
+                return last;
+            }
         }
-        self.names.insert(hash, NameKind::Task, &name, id.0);
-        self.tasks.push(Task {
-            name,
-            module: module.into(),
-            runtime_s,
-            inputs: ins,
-            outputs: outs,
-        });
-        Ok(id)
+        let (hash, found) = self.lookup(NameKind::Module, module);
+        found.unwrap_or_else(|| {
+            let id = self.cols.modules.len() as u32;
+            self.names.insert(hash, NameKind::Module, module, id);
+            self.cols.modules.stage(module);
+            self.cols.modules.commit();
+            id
+        })
     }
 
     /// Two fresh stamp values for one `add_task` pass: one marks the files
@@ -543,8 +752,9 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
     /// # Panics
     /// Panics if either id has not been created by this builder.
     pub fn add_control_edge(&mut self, parent: TaskId, child: TaskId) {
+        let n = self.cols.num_tasks();
         assert!(
-            parent.index() < self.tasks.len() && child.index() < self.tasks.len(),
+            parent.index() < n && child.index() < n,
             "control edge references unknown task(s) {parent} -> {child}"
         );
         self.control_edges.push((parent, child));
@@ -557,34 +767,43 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
 
     /// Validates the accumulated graph and freezes it into a [`Workflow`].
     pub fn build(self) -> Result<Workflow, DagError> {
-        if self.tasks.is_empty() {
+        // The name index and the stamps are done with; free them before
+        // the adjacency is built, which lowers the peak heap.
+        let WorkflowBuilder {
+            name,
+            cols,
+            names,
+            producer,
+            stamp,
+            control_edges,
+            ..
+        } = self;
+        drop((names, stamp));
+        let n = cols.num_tasks();
+        if n == 0 {
             return Err(DagError::Empty);
         }
-        let n = self.tasks.len();
-        let tasks = &self.tasks;
-        let producer = &self.producer;
+        let inputs = &cols.inputs;
+        let producer_of = &producer;
         // Inputs are deduplicated and tasks are visited in id order, so
         // every consumer row comes out sorted and distinct.
         let consumers = Csr::group(
-            self.files.len(),
-            tasks.iter().enumerate().flat_map(|(t, task)| {
-                task.inputs
-                    .iter()
-                    .map(move |f| (f.index(), TaskId(t as u32)))
-            }),
+            cols.num_files(),
+            inputs.pairs().map(|(t, f)| (f.index(), TaskId(t as u32))),
         );
         // Children: every file-derived and control edge `p -> t`, emitted
         // in child order, so each row is sorted with any duplicates
         // adjacent. Parents are then the transpose, sorted by the same
         // argument.
-        let control = Csr::group(n, self.control_edges.iter().map(|&(p, c)| (c.index(), p)));
+        let control = Csr::group(n, control_edges.iter().map(|&(p, c)| (c.index(), p)));
         let control = &control;
         let mut children = Csr::group(
             n,
-            tasks.iter().enumerate().flat_map(|(t, task)| {
-                task.inputs
+            (0..n).flat_map(|t| {
+                inputs
+                    .row(t)
                     .iter()
-                    .filter_map(|f| producer[f.index()])
+                    .filter_map(|f| producer_of[f.index()])
                     .chain(control.row(t).iter().copied())
                     .map(move |p| (p.index(), TaskId(t as u32)))
             }),
@@ -618,17 +837,11 @@ impl<S: BuildHasher> WorkflowBuilder<S> {
         if seen != n {
             let on_cycle = indeg.iter().position(|&d| d > 0).expect("cycle exists");
             return Err(DagError::Cycle {
-                task: self.tasks[on_cycle].name.clone(),
+                task: cols.task_names.get(on_cycle).to_owned(),
             });
         }
         Ok(Workflow::from_parts(
-            self.name,
-            self.tasks,
-            self.files,
-            self.producer,
-            consumers,
-            parents,
-            children,
+            name, cols, producer, consumers, parents, children,
         ))
     }
 }
@@ -654,7 +867,7 @@ mod tests {
     fn external_and_staged_out() {
         let wf = figure3();
         let names = |ids: &[FileId]| -> Vec<String> {
-            ids.iter().map(|f| wf.file(*f).name.clone()).collect()
+            ids.iter().map(|f| wf.file(*f).name.to_owned()).collect()
         };
         assert_eq!(names(wf.external_inputs()), vec!["a"]);
         // g (unconsumed, from t6) and h (unconsumed, from t5).
@@ -769,6 +982,49 @@ mod tests {
     }
 
     #[test]
+    fn failed_calls_truncate_the_arenas_and_io_tables() {
+        let mut b = WorkflowBuilder::new("w");
+        let a = b.file("a", 1);
+        let x = b.file("x", 1);
+        let y = b.file("y", 1);
+        b.add_task("t", "m", 1.0, &[a], &[x]).unwrap();
+        let sizes = |b: &WorkflowBuilder| {
+            (
+                b.cols.file_names.text.len(),
+                b.cols.task_names.text.len(),
+                b.cols.modules.text.len(),
+                b.cols.inputs.ids.len(),
+                b.cols.outputs.ids.len(),
+            )
+        };
+        let before = sizes(&b);
+        // Each fails after staging its name and some of its io rows.
+        b.add_task("self-loop", "other", 1.0, &[a, y], &[x, a])
+            .unwrap_err();
+        b.add_task("second-producer", "other", 1.0, &[a], &[y, x])
+            .unwrap_err();
+        assert_eq!(b.file("a", 1), a);
+        assert_eq!(sizes(&b), before);
+    }
+
+    #[test]
+    fn names_are_formatted_into_the_arenas() {
+        let mut b = WorkflowBuilder::new("w");
+        let i = 7;
+        let a = b.file(format_args!("proj_{i:04}.fits"), 1);
+        let x = b.file(String::from("x"), 1);
+        let t = b
+            .add_task(format_args!("mProject_{i:04}"), "mProject", 1.0, &[a], &[x])
+            .unwrap();
+        assert_eq!(b.find_file("proj_0007.fits"), Some(a));
+        assert_eq!(b.find_task("mProject_0007"), Some(t));
+        let wf = b.build().unwrap();
+        assert_eq!(wf.file(a).name, "proj_0007.fits");
+        assert_eq!(wf.file(x).name, "x");
+        assert_eq!(wf.task(t).name, "mProject_0007");
+    }
+
+    #[test]
     fn stamp_epoch_wraps_without_stale_marks() {
         let mut b = WorkflowBuilder::new("w");
         let f: Vec<FileId> = (0..4).map(|i| b.file(format!("f{i}"), 1)).collect();
@@ -798,13 +1054,13 @@ mod tests {
     #[test]
     fn scale_file_sizes_scales_and_floors() {
         let mut wf = figure3();
-        let before: u64 = wf.files().iter().map(|f| f.bytes).sum();
+        let before: u64 = wf.files().map(|f| f.bytes).sum();
         wf.scale_file_sizes(2.5);
-        let after: u64 = wf.files().iter().map(|f| f.bytes).sum();
+        let after: u64 = wf.files().map(|f| f.bytes).sum();
         assert_eq!(after, (before as f64 * 2.5).round() as u64);
         // Tiny factors never produce zero-size files.
         wf.scale_file_sizes(1e-9);
-        assert!(wf.files().iter().all(|f| f.bytes >= 1));
+        assert!(wf.files().all(|f| f.bytes >= 1));
     }
 
     #[test]

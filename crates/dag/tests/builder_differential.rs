@@ -11,11 +11,22 @@
 //!
 //! Like the builder, the reference checks every output for an existing
 //! producer before claiming any, so a failed `add_task` leaves it unchanged.
+//!
+//! The reference owns a `String` per name and a `Vec` per file list, so
+//! comparing through the workflow's `TaskRef`/`FileRef` views also checks
+//! the builder's storage: the name arenas, the interned modules (many more
+//! than Montage's nine here) and the CSR input/output rows, including
+//! their rollback when an `add_task` fails. The same comparison covers the
+//! workflows that `from_dax`, `merge_workflows` and `replicate_workflow`
+//! rebuild from a built one.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
-use mcloud_dag::{DagError, FileId, TaskId, Workflow, WorkflowBuilder};
+use mcloud_dag::{
+    from_dax, merge_workflows, replicate_workflow, to_dax, DagError, FileId, TaskId, Workflow,
+    WorkflowBuilder,
+};
 
 // ---------------------------------------------------------------------------
 // Reference builder
@@ -183,6 +194,7 @@ impl RefBuilder {
                     )
                 })
                 .collect(),
+            modules: modules_in_first_use_order(self.tasks.iter().map(|t| t.module.as_str())),
             files: self.files,
             producer: self.producer,
             consumers: self.consumers,
@@ -199,9 +211,12 @@ impl RefBuilder {
 
 type TaskRow = (String, String, u64, Vec<FileId>, Vec<FileId>);
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Snapshot {
     tasks: Vec<TaskRow>,
+    /// Distinct modules in order of first use: the builder's interning
+    /// order.
+    modules: Vec<String>,
     files: Vec<(String, u64, bool)>,
     producer: Vec<Option<TaskId>>,
     consumers: Vec<Vec<TaskId>>,
@@ -215,21 +230,20 @@ fn snapshot(wf: &Workflow) -> Snapshot {
     Snapshot {
         tasks: wf
             .tasks()
-            .iter()
             .map(|t| {
                 (
-                    t.name.clone(),
-                    t.module.clone(),
+                    t.name.to_owned(),
+                    t.module.to_owned(),
                     t.runtime_s.to_bits(),
-                    t.inputs.clone(),
-                    t.outputs.clone(),
+                    t.inputs.to_vec(),
+                    t.outputs.to_vec(),
                 )
             })
             .collect(),
+        modules: wf.modules().map(str::to_owned).collect(),
         files: wf
             .files()
-            .iter()
-            .map(|f| (f.name.clone(), f.bytes, f.deliverable))
+            .map(|f| (f.name.to_owned(), f.bytes, f.deliverable))
             .collect(),
         producer: wf.file_ids().map(|f| wf.producer(f)).collect(),
         consumers: wf.file_ids().map(|f| wf.consumers(f).to_vec()).collect(),
@@ -238,6 +252,16 @@ fn snapshot(wf: &Workflow) -> Snapshot {
         external_inputs: wf.external_inputs().to_vec(),
         staged_out: wf.staged_out_files().to_vec(),
     }
+}
+
+fn modules_in_first_use_order<'a>(modules: impl Iterator<Item = &'a str>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for m in modules {
+        if !out.iter().any(|seen| seen == m) {
+            out.push(m.to_owned());
+        }
+    }
+    out
 }
 
 /// Errors compared by their debug form, so a NaN runtime compares equal.
@@ -274,6 +298,7 @@ enum Op {
     File(usize),
     Task {
         name: usize,
+        module: usize,
         runtime_s: f64,
         inputs: Vec<usize>,
         outputs: Vec<usize>,
@@ -286,6 +311,7 @@ enum Op {
 struct Shape {
     files: usize,
     task_names: usize,
+    modules: usize,
     ops: usize,
     max_fan: usize,
     /// Inputs below and outputs at or above a per-task pivot file index,
@@ -339,6 +365,7 @@ fn random_ops(rng: &mut Rng, shape: &Shape) -> Vec<Op> {
             };
             ops.push(Op::Task {
                 name: rng.below(shape.task_names),
+                module: rng.below(shape.modules),
                 runtime_s,
                 inputs,
                 outputs,
@@ -356,13 +383,25 @@ fn task_name(i: usize) -> String {
     format!("t{i}")
 }
 
+/// Module names of different lengths, so a rolled-back or misindexed
+/// module shows up as a wrong string, not just a wrong index.
+fn module_name(i: usize) -> String {
+    format!("m{}{}", "x".repeat(i % 4), i)
+}
+
 fn file_bytes(i: usize) -> u64 {
     1 + (i as u64 * 7919) % 100_000
 }
 
 /// Replays `ops` through both builders, comparing step by step and then
-/// the lookups and the built workflow; returns whether the build succeeded.
-fn replay<S: BuildHasher>(ops: &[Op], shape: &Shape, mut b: WorkflowBuilder<S>, ctx: &str) -> bool {
+/// the lookups and the built workflow; returns the built workflow and its
+/// reference snapshot when the build succeeded.
+fn replay<S: BuildHasher>(
+    ops: &[Op],
+    shape: &Shape,
+    mut b: WorkflowBuilder<S>,
+    ctx: &str,
+) -> Option<(Workflow, Snapshot)> {
     let mut r = RefBuilder::default();
     let mut added = 0u64;
     for (step, op) in ops.iter().enumerate() {
@@ -378,6 +417,7 @@ fn replay<S: BuildHasher>(ops: &[Op], shape: &Shape, mut b: WorkflowBuilder<S>, 
             }
             Op::Task {
                 name,
+                module,
                 runtime_s,
                 inputs,
                 outputs,
@@ -393,11 +433,17 @@ fn replay<S: BuildHasher>(ops: &[Op], shape: &Shape, mut b: WorkflowBuilder<S>, 
                 };
                 let ins = register(&mut b, &mut r, inputs);
                 let outs = register(&mut b, &mut r, outputs);
-                let module = format!("m{}", name % 3);
+                let module = module_name(*module);
                 let name = task_name(*name);
-                let got = b.add_task(name.as_str(), module.as_str(), *runtime_s, &ins, &outs);
+                let got = b.add_task(name.as_str(), &module, *runtime_s, &ins, &outs);
                 let want = r.add_task(&name, &module, *runtime_s, &ins, &outs);
                 assert_eq!(outcome(&got), outcome(&want), "{at}");
+                // A failed call must leave no trace of its name behind.
+                assert_eq!(
+                    b.find_task(&name),
+                    r.by_task_name.get(&name).copied(),
+                    "{at}"
+                );
                 added += u64::from(got.is_ok());
             }
             Op::Control(p, c) => {
@@ -432,13 +478,22 @@ fn replay<S: BuildHasher>(ops: &[Op], shape: &Shape, mut b: WorkflowBuilder<S>, 
             "{ctx}: find_task({name})"
         );
     }
-    let got = b.build().map(|wf| snapshot(&wf));
+    let got = b.build();
     let want = r.build();
-    match (&got, &want) {
-        (Ok(g), Ok(w)) => assert_eq!(g, w, "{ctx}: built workflows differ"),
-        _ => assert_eq!(outcome(&got), outcome(&want), "{ctx}: build outcome"),
+    match (got, want) {
+        (Ok(wf), Ok(want)) => {
+            assert_eq!(snapshot(&wf), want, "{ctx}: built workflows differ");
+            Some((wf, want))
+        }
+        (got, want) => {
+            assert_eq!(
+                outcome(&got.map(|wf| snapshot(&wf))),
+                outcome(&want),
+                "{ctx}: build outcome"
+            );
+            None
+        }
     }
-    got.is_ok()
 }
 
 /// Every name hashes to the same value, so all but the first name of each
@@ -462,6 +517,7 @@ const SHAPES: [Shape; 3] = [
     Shape {
         files: 10,
         task_names: 8,
+        modules: 4,
         ops: 30,
         max_fan: 5,
         layered: false,
@@ -472,6 +528,7 @@ const SHAPES: [Shape; 3] = [
     Shape {
         files: 60,
         task_names: 50,
+        modules: 24,
         ops: 60,
         max_fan: 8,
         layered: true,
@@ -481,6 +538,7 @@ const SHAPES: [Shape; 3] = [
     Shape {
         files: 400,
         task_names: 200,
+        modules: 40,
         ops: 150,
         max_fan: 120,
         layered: true,
@@ -498,7 +556,7 @@ fn builder_matches_reference_on_random_sequences() {
             let mut rng = Rng(0xB111_D000 ^ ((s as u64) << 32) ^ case);
             let ops = random_ops(&mut rng, shape);
             let ctx = format!("shape {s}, case {case}");
-            if replay(&ops, shape, WorkflowBuilder::new("w"), &ctx) {
+            if replay(&ops, shape, WorkflowBuilder::new("w"), &ctx).is_some() {
                 ok += 1;
             } else {
                 failed += 1;
@@ -575,4 +633,143 @@ fn self_loop_names_the_first_offending_output() {
             file: file_name(2)
         }
     );
+}
+
+/// Every way an `add_task` can fail, each with a name and file lists the
+/// successful calls do not use: none of it may reach the built workflow,
+/// its name arenas, its io rows or its module list.
+#[test]
+fn failed_add_task_rolls_back_names_rows_and_modules() {
+    fn check<S: BuildHasher>(mut b: WorkflowBuilder<S>) {
+        let a = b.file("a", 1);
+        let c = b.file("c", 2);
+        let x = b.file("x", 3);
+        let y = b.file("y", 4);
+        let t0 = b.add_task("t0", "mFirst", 1.0, &[a], &[x]).unwrap();
+        let failures = [
+            b.add_task("t0", "mDuplicateName", 1.0, &[c, a], &[y]),
+            b.add_task("bad-runtime", "mBadRuntime", -1.0, &[c], &[y]),
+            b.add_task("self-loop-long-name", "mSelfLoop", 1.0, &[c, a, c], &[y, a]),
+            b.add_task("second-producer", "mSecondProducer", 1.0, &[a, c], &[y, x]),
+        ];
+        assert!(failures.iter().all(Result::is_err), "{failures:?}");
+        for name in ["bad-runtime", "self-loop-long-name", "second-producer"] {
+            assert_eq!(b.find_task(name), None, "{name}");
+        }
+        assert_eq!(b.find_task("t0"), Some(t0));
+        assert_eq!(b.find_file("y"), Some(y));
+        let t1 = b.add_task("t1", "mSecond", 2.0, &[x, c], &[y]).unwrap();
+        assert_eq!(b.find_task("t1"), Some(t1));
+        let wf = b.build().unwrap();
+        let names: Vec<&str> = wf.tasks().map(|t| t.name).collect();
+        assert_eq!(names, ["t0", "t1"]);
+        assert_eq!(wf.modules().collect::<Vec<_>>(), ["mFirst", "mSecond"]);
+        assert_eq!(wf.task(t1).module, "mSecond");
+        assert_eq!(wf.task(t0).inputs, [a]);
+        assert_eq!(wf.task(t0).outputs, [x]);
+        assert_eq!(wf.task(t1).inputs, [x, c]);
+        assert_eq!(wf.task(t1).outputs, [y]);
+        assert_eq!(wf.producer(y), Some(t1));
+        assert_eq!(wf.consumers(c), [t1]);
+    }
+    check(WorkflowBuilder::new("w"));
+    check(WorkflowBuilder::with_hasher("w", Constant::default()));
+}
+
+/// Tasks with their file lists by name, for workflows whose file ids
+/// differ from the reference's.
+type NamedTask = (String, String, u64, Vec<String>, Vec<String>);
+
+fn named_tasks(s: &Snapshot) -> Vec<NamedTask> {
+    let names = |ids: &[FileId]| ids.iter().map(|f| s.files[f.index()].0.clone()).collect();
+    s.tasks
+        .iter()
+        .map(|(name, module, bits, ins, outs)| {
+            (name.clone(), module.clone(), *bits, names(ins), names(outs))
+        })
+        .collect()
+}
+
+/// The snapshot `merge_workflows` must produce from these parts: each
+/// part's files, then its tasks, under a `b<i>__` prefix, with ids offset
+/// by the parts before it. Parents and children are left out: the merge
+/// keeps only file-derived edges, and the random test covers adjacency.
+fn merged(parts: &[&Snapshot]) -> Snapshot {
+    let mut out = Snapshot::default();
+    for (i, part) in parts.iter().enumerate() {
+        let (f0, t0) = (out.files.len() as u32, out.tasks.len() as u32);
+        let file = |f: &FileId| FileId(f.0 + f0);
+        let task = |t: &TaskId| TaskId(t.0 + t0);
+        let files = |ids: &[FileId]| ids.iter().map(file).collect::<Vec<_>>();
+        let tasks = |ids: &[TaskId]| ids.iter().map(task).collect::<Vec<_>>();
+        out.files.extend(
+            part.files
+                .iter()
+                .map(|(name, bytes, d)| (format!("b{i}__{name}"), *bytes, *d)),
+        );
+        out.tasks
+            .extend(part.tasks.iter().map(|(name, module, bits, ins, outs)| {
+                let name = format!("b{i}__{name}");
+                (name, module.clone(), *bits, files(ins), files(outs))
+            }));
+        out.producer
+            .extend(part.producer.iter().map(|p| p.as_ref().map(task)));
+        out.consumers
+            .extend(part.consumers.iter().map(|row| tasks(row)));
+        out.external_inputs.extend(files(&part.external_inputs));
+        out.staged_out.extend(files(&part.staged_out));
+    }
+    out.modules = modules_in_first_use_order(out.tasks.iter().map(|t| t.1.as_str()));
+    out
+}
+
+fn without_adjacency(mut s: Snapshot) -> Snapshot {
+    s.parents.clear();
+    s.children.clear();
+    s
+}
+
+/// `from_dax`, `merge_workflows` and `replicate_workflow` copy names,
+/// modules and file lists out of a built workflow's views into a new
+/// builder; the workflows they build must match the reference.
+#[test]
+fn rebuilt_workflows_match_the_reference() {
+    let mut built = Vec::new();
+    for (s, shape) in SHAPES.iter().enumerate().skip(1) {
+        for case in 0..40u64 {
+            let mut rng = Rng(0x4EB0_1D00 ^ ((s as u64) << 32) ^ case);
+            let ops = random_ops(&mut rng, shape);
+            let ctx = format!("rebuild, shape {s}, case {case}");
+            if let Some(pair) = replay(&ops, shape, WorkflowBuilder::new("w"), &ctx) {
+                built.push((ctx, pair));
+            }
+        }
+    }
+    assert!(built.len() >= 40, "only {} builds succeeded", built.len());
+    let most_modules = built.iter().map(|(_, (wf, _))| wf.modules().len()).max();
+    assert!(most_modules > Some(9), "{most_modules:?} modules at most");
+
+    for pair in built.windows(2) {
+        let (ctx, (wf, want)) = &pair[0];
+        let (_, (other, other_want)) = &pair[1];
+
+        let back = from_dax(&to_dax(wf)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        let got = snapshot(&back);
+        assert_eq!(named_tasks(&got), named_tasks(want), "{ctx}: DAX tasks");
+        assert_eq!(got.modules, want.modules, "{ctx}: DAX modules");
+
+        let merge = merge_workflows("m", &[wf, other]).unwrap();
+        assert_eq!(
+            without_adjacency(snapshot(&merge)),
+            merged(&[want, other_want]),
+            "{ctx}: merged"
+        );
+
+        let copies = replicate_workflow("r", wf, 3).unwrap();
+        assert_eq!(
+            without_adjacency(snapshot(&copies)),
+            merged(&[want, want, want]),
+            "{ctx}: replicated"
+        );
+    }
 }

@@ -97,7 +97,7 @@ fn path_and_parallelism_bounds() {
     for case in 0..CASES {
         let wf = layered_workflow(0xDA6_0003 ^ case);
         let cp = wf.critical_path_s();
-        let longest = wf.tasks().iter().map(|t| t.runtime_s).fold(0.0, f64::max);
+        let longest = wf.tasks().map(|t| t.runtime_s).fold(0.0, f64::max);
         assert!(cp >= longest - 1e-9, "case {case}");
         assert!(cp <= wf.total_runtime_s() + 1e-9, "case {case}");
         let mp = wf.max_parallelism();
@@ -143,7 +143,7 @@ fn dax_roundtrip_is_lossless() {
         // File ids are assigned in registration order, which differs between
         // the builder and the DAX reader; compare by name.
         let names = |w: &Workflow, ids: &[FileId]| -> Vec<String> {
-            let mut v: Vec<String> = ids.iter().map(|f| w.file(*f).name.clone()).collect();
+            let mut v: Vec<String> = ids.iter().map(|f| w.file(*f).name.to_owned()).collect();
             v.sort();
             v
         };

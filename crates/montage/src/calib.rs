@@ -124,13 +124,14 @@ pub fn grid_side(degrees: f64) -> u32 {
 
 /// Number of diagonal overlap edges for a grid of the given side. Exact for
 /// the canonical 7/13/26 grids (so the total task counts are exactly
-/// 203/731/3027); interpolated for other sides.
-pub fn diagonal_count(side: u32) -> u32 {
+/// 203/731/3027); interpolated for other sides. Computed in `u64`, so it
+/// cannot overflow for any `side`.
+pub fn diagonal_count(side: u32) -> u64 {
     match side {
         7 => 15,
         13 => 75,
         26 => 369,
-        s => ((s.saturating_sub(1).pow(2)) as f64 * 0.55).round() as u32,
+        s => (u64::from(s.saturating_sub(1)).pow(2) as f64 * 0.55).round() as u64,
     }
 }
 
@@ -155,9 +156,9 @@ mod tests {
     #[test]
     fn canonical_task_counts_add_up() {
         // total = 2*N + D + 6 with N = side^2, D = 2*side*(side-1) + diag.
-        for (side, expect) in [(7u32, 203u32), (13, 731), (26, 3027)] {
+        for (side, expect) in [(7u64, 203u64), (13, 731), (26, 3027)] {
             let n = side * side;
-            let d = 2 * side * (side - 1) + diagonal_count(side);
+            let d = 2 * side * (side - 1) + diagonal_count(side as u32);
             assert_eq!(2 * n + d + 6, expect, "side {side}");
         }
     }

@@ -122,32 +122,39 @@ impl MosaicConfig {
         calib::grid_side(self.degrees)
     }
 
-    /// Number of input plates.
-    pub fn plates(&self) -> u32 {
-        let s = self.side();
+    /// Number of input plates. A `u64` holds the square of any side.
+    pub fn plates(&self) -> u64 {
+        let s = u64::from(self.side());
         s * s
     }
 
     /// Exact number of tasks the generated workflow will have
-    /// (`2N + D + 6`): 203 / 731 / 3,027 for the canonical sizes.
-    pub fn expected_tasks(&self) -> usize {
-        let n = self.plates() as usize;
-        let d = grid::overlap_count(self.side()) as usize;
-        2 * n + d + 6
+    /// (`2N + D + 6`): 203 / 731 / 3,027 for the canonical sizes. Computed
+    /// without generating anything, for any size: it saturates at
+    /// `u64::MAX` instead of overflowing.
+    pub fn expected_tasks(&self) -> u64 {
+        self.count(2, 6)
     }
 
-    /// Exact number of distinct files (`5N + D + 7`).
-    pub fn expected_files(&self) -> usize {
-        let n = self.plates() as usize;
-        let d = grid::overlap_count(self.side()) as usize;
-        5 * n + d + 7
+    /// Exact number of distinct files (`5N + D + 7`); saturates like
+    /// [`MosaicConfig::expected_tasks`].
+    pub fn expected_files(&self) -> u64 {
+        self.count(5, 7)
+    }
+
+    /// `per_plate * N + D + extra`, saturating.
+    fn count(&self, per_plate: u64, extra: u64) -> u64 {
+        self.plates()
+            .saturating_mul(per_plate)
+            .saturating_add(grid::overlap_count(self.side()))
+            .saturating_add(extra)
     }
 }
 
 /// Generates the workflow for a mosaic request.
 pub fn generate(cfg: &MosaicConfig) -> Workflow {
     let side = cfg.side();
-    let n = cfg.plates();
+    let n = cfg.plates() as usize;
     let pairs = grid::overlap_pairs(side);
     let phi = calib::runtime_factor(cfg.degrees);
     let mut rng = SimRng::new(cfg.seed);
@@ -164,39 +171,39 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     let scaled = |bytes: u64, j: f64| ((bytes as f64 * j).round() as u64).max(1);
 
     // --- files ------------------------------------------------------------
-    let hdr = b.file(format!("{}.hdr", cfg.region), calib::HEADER_BYTES);
-    let mut raw = Vec::with_capacity(n as usize);
-    let mut proj = Vec::with_capacity(n as usize);
-    let mut area = Vec::with_capacity(n as usize);
-    let mut corr = Vec::with_capacity(n as usize);
-    let mut carea = Vec::with_capacity(n as usize);
+    let hdr = b.file(format_args!("{}.hdr", cfg.region), calib::HEADER_BYTES);
+    let mut raw = Vec::with_capacity(n);
+    let mut proj = Vec::with_capacity(n);
+    let mut area = Vec::with_capacity(n);
+    let mut corr = Vec::with_capacity(n);
+    let mut carea = Vec::with_capacity(n);
     for i in 0..n {
         let j = jit_sz(&mut rng);
         raw.push(b.file(
-            format!("2mass_{}_{}_{i:04}.fits", cfg.band.tag(), cfg.region),
+            format_args!("2mass_{}_{}_{i:04}.fits", cfg.band.tag(), cfg.region),
             scaled(calib::RAW_IMAGE_BYTES, j),
         ));
         proj.push(b.file(
-            format!("proj_{i:04}.fits"),
+            format_args!("proj_{i:04}.fits"),
             scaled(calib::PROJECTED_IMAGE_BYTES, j),
         ));
         area.push(b.file(
-            format!("proj_{i:04}_area.fits"),
+            format_args!("proj_{i:04}_area.fits"),
             scaled(calib::AREA_IMAGE_BYTES, j),
         ));
         corr.push(b.file(
-            format!("corr_{i:04}.fits"),
+            format_args!("corr_{i:04}.fits"),
             scaled(calib::CORRECTED_IMAGE_BYTES, j),
         ));
         carea.push(b.file(
-            format!("corr_{i:04}_area.fits"),
+            format_args!("corr_{i:04}_area.fits"),
             scaled(calib::CORRECTED_AREA_BYTES, j),
         ));
     }
     let fits: Vec<_> = (0..pairs.len())
         .map(|k| {
             let j = jit_sz(&mut rng);
-            b.file(format!("fit_{k:05}.tbl"), scaled(calib::FIT_BYTES, j))
+            b.file(format_args!("fit_{k:05}.tbl"), scaled(calib::FIT_BYTES, j))
         })
         .collect();
     let fits_tbl = b.file(
@@ -209,22 +216,22 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
     );
     let newimg_tbl = b.file("newimg.tbl", calib::IMGTBL_PER_IMAGE_BYTES * n as u64);
     let mosaic_bytes = calib::mosaic_bytes(cfg.degrees);
-    let mosaic = b.file(format!("mosaic_{}.fits", cfg.region), mosaic_bytes);
+    let mosaic = b.file(format_args!("mosaic_{}.fits", cfg.region), mosaic_bytes);
     let shrunk = b.file(
-        format!("mosaic_{}_small.fits", cfg.region),
+        format_args!("mosaic_{}_small.fits", cfg.region),
         (mosaic_bytes / calib::SHRINK_DIVISOR).max(1),
     );
     let jpeg = b.file(
-        format!("mosaic_{}.jpg", cfg.region),
+        format_args!("mosaic_{}.jpg", cfg.region),
         (mosaic_bytes / calib::JPEG_DIVISOR).max(1),
     );
     b.mark_deliverable(mosaic);
 
     // --- tasks, level by level ---------------------------------------------
-    for i in 0..n as usize {
+    for i in 0..n {
         let rt = calib::MPROJECT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mProject_{i:04}"),
+            format_args!("mProject_{i:04}"),
             "mProject",
             rt,
             &[raw[i], hdr],
@@ -236,7 +243,7 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
         let (ia, ib) = (pa.index(side) as usize, pb.index(side) as usize);
         let rt = calib::MDIFFFIT_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mDiffFit_{k:05}"),
+            format_args!("mDiffFit_{k:05}"),
             "mDiffFit",
             rt,
             &[proj[ia], area[ia], proj[ib], area[ib]],
@@ -260,10 +267,10 @@ pub fn generate(cfg: &MosaicConfig) -> Workflow {
         &[corrections_tbl],
     )
     .expect("generator produces a valid mBgModel");
-    for i in 0..n as usize {
+    for i in 0..n {
         let rt = calib::MBACKGROUND_RUNTIME_S * phi * jit_rt(&mut rng);
         b.add_task(
-            format!("mBackground_{i:04}"),
+            format_args!("mBackground_{i:04}"),
             "mBackground",
             rt,
             &[proj[i], area[i], corrections_tbl],
@@ -375,7 +382,7 @@ mod tests {
         let levels = wf.levels();
         for t in wf.task_ids() {
             let task = wf.task(t);
-            let stage = pipeline_stage(&task.module)
+            let stage = pipeline_stage(task.module)
                 .unwrap_or_else(|| panic!("unknown module {}", task.module));
             assert_eq!(stage, levels[t.index()], "{}", task.name);
         }
@@ -399,9 +406,28 @@ mod tests {
         for deg in [0.5, 1.0, 1.5, 2.0, 3.0, 4.0] {
             let cfg = MosaicConfig::new(deg);
             let wf = generate(&cfg);
-            assert_eq!(wf.num_tasks(), cfg.expected_tasks(), "{deg} deg tasks");
-            assert_eq!(wf.num_files(), cfg.expected_files(), "{deg} deg files");
+            assert_eq!(
+                wf.num_tasks() as u64,
+                cfg.expected_tasks(),
+                "{deg} deg tasks"
+            );
+            assert_eq!(
+                wf.num_files() as u64,
+                cfg.expected_files(),
+                "{deg} deg files"
+            );
         }
+    }
+
+    #[test]
+    fn expected_counts_saturate_for_huge_sizes() {
+        let huge = MosaicConfig::new(1e12);
+        assert_eq!(huge.side(), u32::MAX);
+        assert_eq!(huge.expected_tasks(), u64::MAX);
+        assert_eq!(huge.expected_files(), u64::MAX);
+        let big = MosaicConfig::new(1000.0);
+        assert_eq!(big.plates(), 6_500 * 6_500);
+        assert!(big.expected_tasks() > 100_000_000);
     }
 
     #[test]
@@ -435,7 +461,7 @@ mod tests {
             by_level
                 .entry(levels[t.index()])
                 .or_default()
-                .push(wf.task(t).module.as_str());
+                .push(wf.task(t).module);
         }
         for (level, modules) in by_level {
             assert!(
@@ -450,7 +476,7 @@ mod tests {
         let wf = montage_1_degree();
         let ext = wf.external_inputs();
         assert_eq!(ext.len(), 50); // 49 plates + header
-        let names: Vec<&str> = ext.iter().map(|f| wf.file(*f).name.as_str()).collect();
+        let names: Vec<&str> = ext.iter().map(|f| wf.file(*f).name).collect();
         assert!(names.iter().any(|n| n.ends_with(".hdr")));
         assert_eq!(names.iter().filter(|n| n.starts_with("2mass_")).count(), 49);
     }
@@ -458,10 +484,10 @@ mod tests {
     #[test]
     fn staged_out_is_mosaic_and_jpeg() {
         let wf = montage_1_degree();
-        let mut names: Vec<String> = wf
+        let mut names: Vec<&str> = wf
             .staged_out_files()
             .iter()
-            .map(|f| wf.file(*f).name.clone())
+            .map(|f| wf.file(*f).name)
             .collect();
         names.sort();
         assert_eq!(names, vec!["mosaic_M17.fits", "mosaic_M17.jpg"]);
@@ -536,6 +562,6 @@ mod tests {
         let wf = generate(&MosaicConfig::new(1.0).band(Band::K).region("Orion"));
         assert!(wf.name().contains("Orion"));
         assert!(wf.name().ends_with("_k"));
-        assert!(wf.files().iter().any(|f| f.name.contains("2mass_k_Orion")));
+        assert!(wf.files().any(|f| f.name.contains("2mass_k_Orion")));
     }
 }

@@ -47,14 +47,14 @@ pub fn overlap_pairs(side: u32) -> Vec<(Plate, Plate)> {
         }
     }
     // Evenly spread subset of the (side-1)^2 down-right diagonals.
-    let total = (side - 1) * (side - 1);
+    let total = u64::from(side - 1).pow(2);
     let want = calib::diagonal_count(side).min(total);
     let mut picked = 0u64;
-    for i in 0..total as u64 {
+    for i in 0..total {
         // Bresenham-style selection: pick index i when the running
         // proportion crosses the next integer.
-        let below = i * want as u64 / total as u64;
-        let above = (i + 1) * want as u64 / total as u64;
+        let below = i * want / total;
+        let above = (i + 1) * want / total;
         if above > below {
             let r = (i as u32) / (side - 1);
             let c = (i as u32) % (side - 1);
@@ -68,13 +68,16 @@ pub fn overlap_pairs(side: u32) -> Vec<(Plate, Plate)> {
             picked += 1;
         }
     }
-    debug_assert_eq!(picked, want as u64);
+    debug_assert_eq!(picked, want);
     pairs
 }
 
 /// Number of overlap pairs for a grid side (without materializing them).
-pub fn overlap_count(side: u32) -> u32 {
-    2 * side * (side - 1) + calib::diagonal_count(side).min((side - 1) * (side - 1))
+/// Saturates at `u64::MAX` instead of overflowing.
+pub fn overlap_count(side: u32) -> u64 {
+    let s = u64::from(side);
+    let diagonals = calib::diagonal_count(side).min((s - 1) * (s - 1));
+    (2 * s).saturating_mul(s - 1).saturating_add(diagonals)
 }
 
 #[cfg(test)]
@@ -85,7 +88,7 @@ mod tests {
     fn counts_match_enumeration() {
         for side in 2..30 {
             assert_eq!(
-                overlap_pairs(side).len() as u32,
+                overlap_pairs(side).len() as u64,
                 overlap_count(side),
                 "side {side}"
             );

@@ -26,8 +26,8 @@ fn count_formulas_hold() {
         let deg = param(case, 0.3, 5.0);
         let cfg = MosaicConfig::new(deg).seed(seed(case));
         let wf = generate(&cfg);
-        assert_eq!(wf.num_tasks(), cfg.expected_tasks(), "case {case}");
-        assert_eq!(wf.num_files(), cfg.expected_files(), "case {case}");
+        assert_eq!(wf.num_tasks() as u64, cfg.expected_tasks(), "case {case}");
+        assert_eq!(wf.num_files() as u64, cfg.expected_files(), "case {case}");
         let n = cfg.plates() as usize;
         let d = overlap_count(cfg.side()) as usize;
         assert_eq!(wf.num_tasks(), 2 * n + d + 6, "case {case}");
@@ -44,9 +44,9 @@ fn jitter_stays_in_band() {
         let other = generate(&MosaicConfig::new(deg).seed(seed(case)));
         assert_eq!(base.num_tasks(), other.num_tasks(), "case {case}");
         assert_eq!(base.depth(), other.depth(), "case {case}");
-        for (a, b) in base.tasks().iter().zip(other.tasks()) {
-            assert_eq!(&a.name, &b.name, "case {case}");
-            assert_eq!(&a.module, &b.module, "case {case}");
+        for (a, b) in base.tasks().zip(other.tasks()) {
+            assert_eq!(a.name, b.name, "case {case}");
+            assert_eq!(a.module, b.module, "case {case}");
             // Runtime jitter is +-15% around the same mean.
             let ratio = a.runtime_s / b.runtime_s;
             assert!(
@@ -94,7 +94,7 @@ fn shape_is_canonical() {
         let levels = wf.levels();
         for t in wf.task_ids() {
             let task = wf.task(t);
-            let expect = match task.module.as_str() {
+            let expect = match task.module {
                 "mProject" => 1,
                 "mDiffFit" => 2,
                 "mConcatFit" => 3,
@@ -118,7 +118,7 @@ fn shape_is_canonical() {
 fn overlap_graph_valid() {
     for side in 2u32..40 {
         let pairs = overlap_pairs(side);
-        assert_eq!(pairs.len() as u32, overlap_count(side), "side {side}");
+        assert_eq!(pairs.len() as u64, overlap_count(side), "side {side}");
         let mut seen = std::collections::HashSet::new();
         for (a, b) in &pairs {
             assert!(seen.insert((a.index(side), b.index(side))), "side {side}");

@@ -54,15 +54,15 @@ fn structural_digest(wf: &Workflow) -> u64 {
     h.str(wf.name());
     h.u64(wf.num_tasks() as u64);
     for task in wf.tasks() {
-        h.str(&task.name);
-        h.str(&task.module);
+        h.str(task.name);
+        h.str(task.module);
         h.u64(task.runtime_s.to_bits());
-        h.files(&task.inputs);
-        h.files(&task.outputs);
+        h.files(task.inputs);
+        h.files(task.outputs);
     }
     h.u64(wf.num_files() as u64);
     for (f, file) in wf.file_ids().zip(wf.files()) {
-        h.str(&file.name);
+        h.str(file.name);
         h.u64(file.bytes);
         h.u64(u64::from(file.deliverable));
         h.u64(wf.producer(f).map_or(u64::MAX, |t| t.index() as u64));
