@@ -10,8 +10,9 @@
 //! - **HTTP/1.1** (`--listen ADDR`): a hand-rolled single-threaded
 //!   accept loop. `POST /simulate|/plan|/profile|/batch` take the same
 //!   JSON payloads as stdio (the path supplies the `op`), `GET /metrics`
-//!   returns the cache telemetry as Prometheus text exposition. A body
-//!   over [`MAX_REQUEST_BYTES`] gets `413 Payload Too Large`.
+//!   returns the cache and workflow-memo telemetry as Prometheus text
+//!   exposition. A body over [`MAX_REQUEST_BYTES`] gets `413 Payload Too
+//!   Large`.
 //!
 //! Requests name scenarios with the CLI's own flag vocabulary —
 //! `{"op": "simulate", "args": ["--degrees", "1", "--procs", "8"]}` —
@@ -22,14 +23,19 @@
 //! [`ResultCache`](mcloud_cache): a repeated query is a digest lookup
 //! (no workflow generation, no simulation), batch misses fan out
 //! through the persistent worker pool, and concurrent identical misses
-//! coalesce into one simulation. Responses carry no timing or
-//! hit/miss information, so a warm answer is byte-identical to a cold
-//! one — that equivalence is pinned by the `serve-equivalence` CI job.
+//! coalesce into one simulation. A miss on a recently generated recipe
+//! (a *near-miss*: same mosaic, other processors, mode, fault rate or
+//! bandwidth) takes its workflow from a [`WorkflowMemo`] bounded by
+//! [`MEMO_TASKS`], so it pays only for simulation. Responses carry no
+//! timing or hit/miss information, so a warm answer is byte-identical
+//! to a cold one — that equivalence is pinned by the
+//! `serve-equivalence` CI job.
 
-use std::collections::HashMap;
+use std::collections::{HashSet, VecDeque};
 use std::io::{BufRead, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use mcloud_cache::{decode_report, encode_report, DEFAULT_BUDGET_BYTES};
@@ -38,6 +44,7 @@ use mcloud_core::{
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, Band, MosaicConfig};
+use mcloud_simkit::{MetricClass, Registry};
 
 use crate::args::Args;
 use crate::commands::{exec_from, parse_band, wants_help, SIM_FLAGS};
@@ -52,7 +59,11 @@ an ASCII decimal byte count, '\\n', then that many bytes of JSON; each
 response is framed the same way. EOF ends the session. A request over
 16 MiB is refused: an error frame ends the session (HTTP: 413). A
 simulate or batch scenario over 1048576 tasks is refused with an error
-frame (HTTP: 400) before anything is generated.
+frame (HTTP: 400) before anything is generated; so is a plan or
+profile request whose --degrees (or plan --class D:R:P) asks for more.
+plan and profile requests cannot name server-side files: --out, --svg,
+--trace, --trace-out, --profile-out and --metrics-out get an error
+frame (HTTP: 400).
 
 requests:
   {\"op\": \"simulate\", \"args\": [\"--degrees\", \"1\", \"--procs\", \"8\"]}
@@ -65,7 +76,10 @@ requests:
 {\"ok\": true, \"result\": ...} or {\"ok\": false, \"error\": \"...\"}.
 Results are memoized in the content-addressed cache: repeated queries
 are digest lookups, batch misses run through the worker pool, and warm
-answers are byte-identical to cold ones.
+answers are byte-identical to cold ones. Near-misses (same mosaic, other
+--procs, --mode, fault rate or bandwidth) reuse the generated workflow:
+a recipe's workflow is kept from its second miss on, in a memo of at
+most 32768 tasks that drops the least recently used first.
 
 flags:
   --listen ADDR        serve HTTP/1.1 on ADDR (e.g. 127.0.0.1:8080):
@@ -109,9 +123,11 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
             let stdout = std::io::stdout();
             let served = serve_session(&mut stdin.lock(), &mut stdout.lock())?;
             let c = mcloud_cache::global().counters();
+            let m = memo(&MEMO);
             eprintln!(
-                "served {served} requests ({} memory hits, {} disk hits, {} simulated)",
-                c.hits_mem, c.hits_disk, c.computes
+                "served {served} requests ({} memory hits, {} disk hits, {} simulated, \
+                 {} workflows reused, {} generated, {} tasks held)",
+                c.hits_mem, c.hits_disk, c.computes, m.hits, m.misses, m.held_tasks
             );
             Ok(String::new())
         }
@@ -123,11 +139,27 @@ pub(crate) fn cmd_serve(rest: &[String]) -> Result<String, String> {
 /// for it, so no header can make the server reserve unbounded memory.
 const MAX_REQUEST_BYTES: u64 = 16 * 1024 * 1024;
 
-/// The largest workflow a `simulate` or `batch` scenario may ask for, in
-/// tasks: far above 16°'s 48,897, yet small enough that one request
-/// cannot claim unbounded memory or time. Checked from the recipe
-/// before anything is generated.
+/// The largest workflow a request may ask for, in tasks: far above
+/// 16°'s 48,897, yet small enough that one request cannot claim
+/// unbounded memory or time. Checked from the recipe before anything is
+/// generated.
 const MAX_SCENARIO_TASKS: u64 = 1 << 20;
+
+/// Refuses a mosaic size of `degrees` that is not positive or asks for
+/// more than [`MAX_SCENARIO_TASKS`]; `flag` names where it came from.
+fn check_size(flag: &str, degrees: f64) -> Result<(), String> {
+    if !(degrees.is_finite() && degrees > 0.0) {
+        return Err(format!("{flag} must be positive, got {degrees}"));
+    }
+    let tasks = MosaicConfig::new(degrees).expected_tasks();
+    if tasks > MAX_SCENARIO_TASKS {
+        return Err(format!(
+            "{flag} {degrees} asks for a {tasks}-task workflow; \
+             the server admits at most {MAX_SCENARIO_TASKS} tasks"
+        ));
+    }
+    Ok(())
+}
 
 /// Runs one framed request/response session to EOF; returns the number
 /// of requests answered. Factored over `BufRead`/`Write` so tests drive
@@ -233,12 +265,11 @@ fn dispatch(op: &str, request: &Value) -> Result<String, String> {
         "plan" | "profile" => {
             let mut argv = vec![op.to_string()];
             argv.extend(string_args(request)?);
+            check_command_args(&argv[1..])?;
             crate::commands::run(&argv).map(|out| wrap_output(&out))
         }
         "batch" => op_batch(request),
-        "metrics" => Ok(wrap_text(
-            &mcloud_cache::global().registry().prometheus_text(),
-        )),
+        "metrics" => Ok(wrap_text(&metrics_text())),
         other => Err(format!(
             "unknown op '{other}' (simulate | plan | profile | batch | metrics)"
         )),
@@ -284,30 +315,85 @@ fn wrap_output(out: &str) -> String {
     }
 }
 
+/// Flags that make a command read or write a file at a path the client
+/// names. The server refuses them: a client may not reach the server's
+/// file system.
+const FILE_FLAGS: &[&str] = &[
+    "out",
+    "svg",
+    "trace",
+    "trace-out",
+    "profile-out",
+    "metrics-out",
+];
+
 /// `simulate` flags the server accepts: everything `mcloud simulate`
 /// takes except the file-writing side channels.
 fn serve_sim_flags() -> Vec<&'static str> {
     SIM_FLAGS
         .iter()
         .copied()
-        .filter(|f| *f != "trace-out" && *f != "trace-format")
+        .filter(|f| !FILE_FLAGS.contains(f) && *f != "trace-format")
         .collect()
+}
+
+/// The values of every `--name` in `raw`, read the way [`Args::parse`]
+/// reads them: `--name=value`, or the next token unless it is a flag.
+fn flag_values<'a>(raw: &'a [String], name: &str) -> Vec<&'a str> {
+    let mut values = Vec::new();
+    for (i, tok) in raw.iter().enumerate() {
+        let Some(body) = tok.strip_prefix("--") else {
+            continue;
+        };
+        match body.split_once('=') {
+            Some((n, v)) if n == name => values.push(v),
+            None if body == name => {
+                if let Some(next) = raw.get(i + 1).filter(|t| !t.starts_with("--")) {
+                    values.push(next);
+                }
+            }
+            _ => {}
+        }
+    }
+    values
+}
+
+/// Vets a `plan` or `profile` request's args before they reach
+/// [`crate::commands::run`]: no flag may name a server-side file, and no
+/// `--degrees` or `--class D:R:P` may ask for a workflow over
+/// [`MAX_SCENARIO_TASKS`]. Values that do not parse are left for the
+/// command to reject.
+fn check_command_args(raw: &[String]) -> Result<(), String> {
+    for tok in raw {
+        let Some(body) = tok.strip_prefix("--") else {
+            continue;
+        };
+        let name = body.split_once('=').map_or(body, |(n, _)| n);
+        if FILE_FLAGS.contains(&name) {
+            return Err(format!(
+                "--{name} names a file on the server; serve requests cannot use it"
+            ));
+        }
+    }
+    for value in flag_values(raw, "degrees") {
+        if let Ok(degrees) = value.parse::<f64>() {
+            check_size("--degrees", degrees)?;
+        }
+    }
+    for spec in flag_values(raw, "class") {
+        let degrees = spec.split(':').next().and_then(|d| d.parse::<f64>().ok());
+        if let Some(degrees) = degrees {
+            check_size("--class", degrees)?;
+        }
+    }
+    Ok(())
 }
 
 /// Parses one simulate arg-list into its content-addressed scenario.
 fn scenario_from(raw: &[String]) -> Result<Scenario, String> {
     let args = Args::parse(raw, &serve_sim_flags())?;
     let degrees: f64 = args.get_or("degrees", 1.0)?;
-    if !(degrees.is_finite() && degrees > 0.0) {
-        return Err(format!("--degrees must be positive, got {degrees}"));
-    }
-    let tasks = MosaicConfig::new(degrees).expected_tasks();
-    if tasks > MAX_SCENARIO_TASKS {
-        return Err(format!(
-            "--degrees {degrees} asks for a {tasks}-task workflow; \
-             the server admits at most {MAX_SCENARIO_TASKS} tasks"
-        ));
-    }
+    check_size("--degrees", degrees)?;
     let mut recipe = ScenarioRecipe::new(degrees);
     if let Some(seed) = args.get_parsed::<u64>("seed")? {
         recipe.seed = seed;
@@ -331,23 +417,165 @@ fn scenario_from(raw: &[String]) -> Result<Scenario, String> {
     Ok(Scenario { recipe, exec })
 }
 
-/// Materializes a recipe's workflow (the expensive step a warm query
-/// skips entirely — the cache key is the recipe, not the DAG).
-fn generate_recipe(recipe: &ScenarioRecipe) -> Result<Workflow, String> {
-    let mut cfg = MosaicConfig::new(recipe.degrees).seed(recipe.seed);
-    cfg = cfg.region(&recipe.region);
-    cfg = cfg.band(parse_band(&recipe.band)?);
-    Ok(generate(&cfg))
+/// The generator parameters a recipe names.
+fn mosaic_config(recipe: &ScenarioRecipe) -> Result<MosaicConfig, String> {
+    Ok(MosaicConfig::new(recipe.degrees)
+        .seed(recipe.seed)
+        .region(&recipe.region)
+        .band(parse_band(&recipe.band)?))
+}
+
+/// The most workflow tasks [`MEMO`] holds at once (~10 MB at ~325 B a
+/// task): room for a near-miss working set of six 2°–8° recipes. A
+/// recipe over it, such as 16° (48,897 tasks), is never held.
+const MEMO_TASKS: u64 = 1 << 15;
+
+/// How many once-generated recipes the memo remembers without holding
+/// their workflows.
+const MEMO_SEEN: usize = 64;
+
+/// A bounded LRU of generated workflows, keyed by recipe. A recipe is
+/// held only from its *second* miss on: a stream of distinct recipes
+/// (cold queries) then allocates and frees exactly as it would with no
+/// memo, and only recipes that recur take up room.
+struct WorkflowMemo {
+    /// Held workflows and their task counts, least recently used first.
+    held: Vec<(ScenarioRecipe, Arc<Workflow>, u64)>,
+    /// The sum of the held task counts; never over [`MEMO_TASKS`].
+    held_tasks: u64,
+    /// Recipes generated once and not held, oldest first; at most
+    /// [`MEMO_SEEN`].
+    seen: VecDeque<ScenarioRecipe>,
+    /// Lookups answered from `held`.
+    hits: u64,
+    /// Lookups that generated the workflow.
+    misses: u64,
+}
+
+impl WorkflowMemo {
+    const fn new() -> Self {
+        WorkflowMemo {
+            held: Vec::new(),
+            held_tasks: 0,
+            seen: VecDeque::new(),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The held workflow for `recipe`, now the most recently used.
+    fn lookup(&mut self, recipe: &ScenarioRecipe) -> Option<Arc<Workflow>> {
+        let i = self.held.iter().position(|(r, ..)| r == recipe)?;
+        let entry = self.held.remove(i);
+        let wf = Arc::clone(&entry.1);
+        self.held.push(entry);
+        self.hits += 1;
+        Some(wf)
+    }
+
+    /// Records a miss on a `tasks`-task recipe; true when its workflow is
+    /// to be held once generated. That is its second miss, if it fits
+    /// the budget; room is then made first, so the memo and the workflow
+    /// being generated never exceed the budget plus that one workflow.
+    fn admit(&mut self, recipe: &ScenarioRecipe, tasks: u64) -> bool {
+        self.misses += 1;
+        if tasks > MEMO_TASKS {
+            return false;
+        }
+        if let Some(i) = self.seen.iter().position(|r| r == recipe) {
+            self.seen.remove(i);
+            self.make_room(tasks);
+            return true;
+        }
+        if self.seen.len() == MEMO_SEEN {
+            self.seen.pop_front();
+        }
+        self.seen.push_back(recipe.clone());
+        false
+    }
+
+    /// Holds an admitted recipe's workflow.
+    fn hold(&mut self, recipe: &ScenarioRecipe, wf: Arc<Workflow>, tasks: u64) {
+        self.make_room(tasks);
+        self.held.push((recipe.clone(), wf, tasks));
+        self.held_tasks += tasks;
+    }
+
+    /// Drops least recently used workflows until `tasks` more fit.
+    fn make_room(&mut self, tasks: u64) {
+        while self.held_tasks + tasks > MEMO_TASKS {
+            let (_, _, freed) = self.held.remove(0);
+            self.held_tasks -= freed;
+        }
+    }
+
+    /// Adds the memo's series to a metrics registry.
+    fn record(&self, r: &mut Registry) {
+        const D: MetricClass = MetricClass::Deterministic;
+        r.set_counter(
+            "mcloud_serve_workflow_memo_hits_total",
+            "Workflow lookups answered from the memo, skipping generation.",
+            D,
+            &[],
+            self.hits,
+        );
+        r.set_counter(
+            "mcloud_serve_workflow_memo_misses_total",
+            "Workflow lookups that generated the workflow.",
+            D,
+            &[],
+            self.misses,
+        );
+        r.set_gauge(
+            "mcloud_serve_workflow_memo_held_tasks",
+            "Tasks in the workflows the memo holds.",
+            D,
+            &[],
+            self.held_tasks as f64,
+        );
+    }
+}
+
+/// The process-wide workflow memo.
+static MEMO: Mutex<WorkflowMemo> = Mutex::new(WorkflowMemo::new());
+
+/// Locks a memo. Every update leaves it consistent, so a panic in
+/// another request does not disable it: a poisoned lock is recovered.
+fn memo(m: &Mutex<WorkflowMemo>) -> MutexGuard<'_, WorkflowMemo> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A recipe's workflow: from the memo when it holds one, else generated
+/// (outside the lock) and, if admitted, held.
+fn workflow_for(m: &Mutex<WorkflowMemo>, recipe: &ScenarioRecipe) -> Result<Arc<Workflow>, String> {
+    if let Some(wf) = memo(m).lookup(recipe) {
+        return Ok(wf);
+    }
+    let cfg = mosaic_config(recipe)?;
+    let tasks = cfg.expected_tasks();
+    let admit = memo(m).admit(recipe, tasks);
+    let wf = Arc::new(generate(&cfg));
+    if admit {
+        memo(m).hold(recipe, Arc::clone(&wf), tasks);
+    }
+    Ok(wf)
+}
+
+/// The `metrics` reply: the cache's series, then the memo's.
+fn metrics_text() -> String {
+    let mut r = mcloud_cache::global().registry();
+    memo(&MEMO).record(&mut r);
+    r.prometheus_text()
 }
 
 /// One scenario query: digest → single-flight cache lookup → report
-/// JSON. Cold queries generate and simulate; warm queries are a hash
-/// probe plus a decode.
+/// JSON. Cold queries generate (or take the memo's workflow) and
+/// simulate; warm queries are a hash probe plus a decode.
 fn op_simulate(raw: &[String]) -> Result<String, String> {
     let scenario = scenario_from(raw)?;
     let cache = mcloud_cache::global();
     let bytes = cache.get_or_compute(scenario.digest(), || {
-        let wf = generate_recipe(&scenario.recipe)?;
+        let wf = workflow_for(&MEMO, &scenario.recipe)?;
         Ok(encode_report(&simulate(&wf, &scenario.exec)))
     })?;
     let report = decode_report(&bytes).map_err(|e| format!("corrupt cache entry: {e}"))?;
@@ -377,15 +605,14 @@ fn op_batch(request: &Value) -> Result<String, String> {
         .collect();
 
     // Misses, deduplicated by digest and grouped by recipe so each
-    // distinct workflow is generated once and its configs run as one
-    // pool batch.
+    // distinct workflow is fetched once and its configs run as one pool
+    // batch.
     let mut groups: Vec<(ScenarioRecipe, Vec<usize>)> = Vec::new();
-    let mut seen: HashMap<Digest, ()> = HashMap::new();
+    let mut seen: HashSet<Digest> = HashSet::new();
     for i in 0..parsed.len() {
-        if results[i].is_some() || seen.contains_key(&keys[i]) {
+        if results[i].is_some() || !seen.insert(keys[i]) {
             continue;
         }
-        seen.insert(keys[i], ());
         match groups.iter_mut().find(|(r, _)| *r == parsed[i].recipe) {
             Some((_, idxs)) => idxs.push(i),
             None => groups.push((parsed[i].recipe.clone(), vec![i])),
@@ -393,7 +620,7 @@ fn op_batch(request: &Value) -> Result<String, String> {
     }
     let mut scratch = BatchScratch::new();
     for (recipe, idxs) in groups {
-        let wf = generate_recipe(&recipe)?;
+        let wf = workflow_for(&MEMO, &recipe)?;
         let cfgs: Vec<mcloud_core::ExecConfig> =
             idxs.iter().map(|&i| parsed[i].exec.clone()).collect();
         let fresh = simulate_batch(&wf, &cfgs, &mut scratch);
@@ -494,12 +721,9 @@ pub(crate) fn handle_http<S: Read + Write>(stream: &mut S) -> Result<(), String>
     };
 
     match (method.as_str(), path.as_str()) {
-        ("GET", "/metrics") => write_http(
-            stream,
-            200,
-            "text/plain; version=0.0.4",
-            &mcloud_cache::global().registry().prometheus_text(),
-        ),
+        ("GET", "/metrics") => {
+            write_http(stream, 200, "text/plain; version=0.0.4", &metrics_text())
+        }
         ("POST", "/simulate")
         | ("POST", "/plan")
         | ("POST", "/profile")
@@ -804,43 +1028,6 @@ mod tests {
     }
 
     #[test]
-    fn oversized_scenarios_are_refused_before_generation() {
-        for degrees in ["1000", "1e12"] {
-            let q = format!(r#"{{"op": "simulate", "args": ["--degrees", "{degrees}"]}}"#);
-            let batch = format!(
-                r#"{{"op": "batch", "scenarios": [["--degrees", "0.2"], ["--degrees", "{degrees}"]]}}"#
-            );
-            let (served, out) = run_session(&[&q, &batch]);
-            assert_eq!(served, 2, "{degrees}");
-            let mut cursor = Cursor::new(out.into_bytes());
-            for _ in 0..2 {
-                let Some(Frame::Request(resp)) = read_frame(&mut cursor).unwrap() else {
-                    panic!("{degrees}: response missing");
-                };
-                assert!(resp.starts_with("{\"ok\": false"), "{resp}");
-                assert!(
-                    resp.contains("the server admits at most 1048576 tasks"),
-                    "{resp}"
-                );
-            }
-            let body = format!(r#"{{"args": ["--degrees", "{degrees}"]}}"#);
-            let resp = http(
-                format!(
-                    "POST /simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .as_bytes(),
-            );
-            assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
-            assert!(resp.contains("admits at most"), "{resp}");
-        }
-        // The largest admitted sizes still parse.
-        let args = |d: &str| vec!["--degrees".to_string(), d.to_string()];
-        assert!(scenario_from(&args("64")).is_ok());
-        assert!(scenario_from(&args("200")).is_err());
-    }
-
-    #[test]
     fn scenario_digest_tracks_the_flags() {
         let s = |args: &[&str]| {
             scenario_from(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
@@ -856,6 +1043,309 @@ mod tests {
         assert_ne!(
             base,
             s(&["--degrees", "1", "--procs", "8", "--fault-rate", "0.01"])
+        );
+    }
+
+    fn recipe(degrees: f64, seed: u64) -> ScenarioRecipe {
+        ScenarioRecipe {
+            seed,
+            ..ScenarioRecipe::new(degrees)
+        }
+    }
+
+    #[test]
+    fn memo_holds_no_workflow_for_a_first_touch_and_admits_the_second() {
+        let m = Mutex::new(WorkflowMemo::new());
+        let r = recipe(0.5, 7);
+        let first = workflow_for(&m, &r).unwrap();
+        {
+            let memo = memo(&m);
+            assert!(memo.held.is_empty());
+            assert_eq!(memo.held_tasks, 0);
+            assert_eq!(memo.seen, std::slice::from_ref(&r));
+            assert_eq!((memo.hits, memo.misses), (0, 1));
+        }
+        let second = workflow_for(&m, &r).unwrap();
+        {
+            let memo = memo(&m);
+            assert_eq!(memo.held.len(), 1);
+            assert_eq!(memo.held_tasks, second.num_tasks() as u64);
+            assert!(memo.seen.is_empty());
+            assert_eq!((memo.hits, memo.misses), (0, 2));
+        }
+        let third = workflow_for(&m, &r).unwrap();
+        assert!(Arc::ptr_eq(&second, &third), "the third touch is a hit");
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert_eq!(memo(&m).hits, 1);
+        // Every copy is the same workflow.
+        let fresh = generate(&mosaic_config(&r).unwrap());
+        for wf in [&first, &second, &third] {
+            assert_eq!(
+                mcloud_core::fingerprint_workflow(wf),
+                mcloud_core::fingerprint_workflow(&fresh)
+            );
+        }
+    }
+
+    #[test]
+    fn memo_never_holds_more_than_its_task_budget() {
+        let m = Mutex::new(WorkflowMemo::new());
+        // Three 8° recipes (12,149 tasks each) overflow the budget.
+        let recipes = [
+            recipe(8.0, 1),
+            recipe(4.0, 1),
+            recipe(8.0, 2),
+            recipe(2.0, 1),
+            recipe(8.0, 3),
+        ];
+        for r in &recipes {
+            for _ in 0..3 {
+                workflow_for(&m, r).unwrap();
+                let memo = memo(&m);
+                assert!(memo.held_tasks <= MEMO_TASKS, "{}", memo.held_tasks);
+                let sum: u64 = memo.held.iter().map(|(.., t)| t).sum();
+                assert_eq!(memo.held_tasks, sum);
+            }
+        }
+        let memo = memo(&m);
+        // The first 8° recipe, least recently used, made room for the last.
+        let held: Vec<&ScenarioRecipe> = memo.held.iter().map(|(r, ..)| r).collect();
+        assert_eq!(held, [&recipes[1], &recipes[2], &recipes[3], &recipes[4]]);
+        assert_eq!((memo.hits, memo.misses), (5, 10));
+    }
+
+    #[test]
+    fn memo_makes_room_before_the_admitted_workflow_is_generated() {
+        let m = Mutex::new(WorkflowMemo::new());
+        for seed in 1..=2 {
+            for _ in 0..2 {
+                workflow_for(&m, &recipe(8.0, seed)).unwrap();
+            }
+        }
+        let mut memo = memo(&m);
+        assert_eq!(memo.held_tasks, 2 * 12_149);
+        let next = recipe(8.0, 3);
+        assert!(!memo.admit(&next, 12_149), "first touch");
+        assert!(memo.admit(&next, 12_149), "second touch");
+        assert_eq!(memo.held_tasks, 12_149, "evicted before generating");
+        assert!(memo.held_tasks + 12_149 <= MEMO_TASKS);
+    }
+
+    #[test]
+    fn memo_never_holds_an_over_budget_recipe() {
+        let m = Mutex::new(WorkflowMemo::new());
+        let r = recipe(16.0, 1);
+        let tasks = mosaic_config(&r).unwrap().expected_tasks();
+        assert!(tasks > MEMO_TASKS, "{tasks}");
+        for _ in 0..2 {
+            workflow_for(&m, &r).unwrap();
+        }
+        let memo = memo(&m);
+        assert!(memo.held.is_empty() && memo.seen.is_empty());
+        assert_eq!((memo.hits, memo.misses, memo.held_tasks), (0, 2, 0));
+    }
+
+    #[test]
+    fn memo_remembers_a_bounded_number_of_first_touches() {
+        let mut memo = WorkflowMemo::new();
+        for seed in 0..=MEMO_SEEN as u64 {
+            assert!(!memo.admit(&recipe(0.1, seed), 10));
+        }
+        assert_eq!(memo.seen.len(), MEMO_SEEN);
+        // Seed 0 fell out of the ring: its next miss is a first touch again.
+        assert!(!memo.admit(&recipe(0.1, 0), 10));
+        assert!(memo.admit(&recipe(0.1, MEMO_SEEN as u64), 10));
+    }
+
+    #[test]
+    fn a_poisoned_memo_lock_is_recovered() {
+        let m = Mutex::new(WorkflowMemo::new());
+        let r = recipe(0.2, 1);
+        workflow_for(&m, &r).unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _guard = m.lock().unwrap();
+                panic!("a request panicked while holding the memo");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(m.is_poisoned());
+        let held = workflow_for(&m, &r).unwrap();
+        assert!(Arc::ptr_eq(&held, &workflow_for(&m, &r).unwrap()));
+        assert_eq!(memo(&m).hits, 1);
+    }
+
+    /// A request frame for `op` with `args`.
+    fn request(op: &str, args: &[&str]) -> String {
+        let args: Vec<String> = args.iter().map(|a| format!("\"{a}\"")).collect();
+        format!(r#"{{"op": "{op}", "args": [{}]}}"#, args.join(", "))
+    }
+
+    /// POSTs a JSON body to `path`; returns the response text.
+    fn post(path: &str, body: &str) -> String {
+        http(
+            format!(
+                "POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+    }
+
+    /// The response payloads of a stdio session.
+    fn replies(payloads: &[&str]) -> Vec<String> {
+        let (served, out) = run_session(payloads);
+        assert_eq!(served as usize, payloads.len());
+        let mut cursor = Cursor::new(out.into_bytes());
+        let mut replies = Vec::new();
+        while let Some(Frame::Request(reply)) = read_frame(&mut cursor).unwrap() {
+            replies.push(reply);
+        }
+        replies
+    }
+
+    #[test]
+    fn plan_and_profile_refuse_flags_that_name_server_files() {
+        let dir = std::env::temp_dir().join(format!("mcloud-serve-files-{}", std::process::id()));
+        let path = dir.join("written");
+        let path = path.to_str().unwrap();
+        let cases = [
+            ("profile", vec!["--degrees", "0.2", "--out", path]),
+            ("profile", vec!["--degrees", "0.2", "--svg", path]),
+            (
+                "profile",
+                vec!["--degrees", "0.2", "--trace", "/etc/passwd"],
+            ),
+            ("profile", vec!["--degrees", "0.2", "--trace-out", path]),
+            ("profile", vec!["--degrees", "0.2", "--profile-out", path]),
+            ("profile", vec!["--degrees", "0.2", "--metrics-out", path]),
+            (
+                "plan",
+                vec![
+                    "--slo-p99",
+                    "7",
+                    "--rate",
+                    "1",
+                    "--horizon",
+                    "24",
+                    "--out",
+                    path,
+                ],
+            ),
+            (
+                "plan",
+                vec![
+                    "--degrees",
+                    "0.2",
+                    "--deadline-hours",
+                    "1",
+                    "--metrics-out",
+                    path,
+                ],
+            ),
+        ];
+        for (op, args) in &cases {
+            let q = request(op, args);
+            let reply = &replies(&[&q])[0];
+            assert!(reply.starts_with("{\"ok\": false"), "{reply}");
+            assert!(reply.contains("names a file on the server"), "{reply}");
+            let resp = post(&format!("/{op}"), &q);
+            assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+            assert!(resp.contains("names a file on the server"), "{resp}");
+        }
+        // The `--flag=value` spelling is refused too.
+        let inline = format!("--out={path}");
+        let reply = &replies(&[&request("profile", &["--degrees", "0.2", &inline])])[0];
+        assert!(
+            reply.contains("--out names a file on the server"),
+            "{reply}"
+        );
+        assert!(!dir.exists(), "a refused request wrote a file");
+        // A file path as a plain flag value is just a value.
+        let reply = &replies(&[&request(
+            "profile",
+            &["--degrees", "0.2", "--region", "out", "--format", "json"],
+        )])[0];
+        assert!(reply.starts_with("{\"ok\": true"), "{reply}");
+    }
+
+    #[test]
+    fn oversized_scenarios_are_refused_before_generation() {
+        for degrees in ["1000", "1e12"] {
+            let class = format!("{degrees}:1:0");
+            let batch = format!(
+                r#"{{"op": "batch", "scenarios": [["--degrees", "0.2"], ["--degrees", "{degrees}"]]}}"#
+            );
+            let cases = [
+                ("simulate", request("simulate", &["--degrees", degrees])),
+                ("batch", batch),
+                ("profile", request("profile", &["--degrees", degrees])),
+                (
+                    "profile",
+                    request("profile", &["--degrees", "1", "--degrees", degrees]),
+                ),
+                (
+                    "plan",
+                    request("plan", &["--degrees", degrees, "--deadline-hours", "1"]),
+                ),
+                (
+                    "plan",
+                    request("plan", &["--slo-p99", "7", "--class", &class]),
+                ),
+            ];
+            for (op, q) in &cases {
+                let reply = &replies(&[q])[0];
+                assert!(reply.starts_with("{\"ok\": false"), "{reply}");
+                assert!(
+                    reply.contains("the server admits at most 1048576 tasks"),
+                    "{reply}"
+                );
+                let resp = post(&format!("/{op}"), q);
+                assert!(resp.starts_with("HTTP/1.1 400"), "{resp}");
+                assert!(resp.contains("admits at most"), "{resp}");
+            }
+        }
+        let inline = request("profile", &["--degrees=1e12"]);
+        assert!(replies(&[&inline])[0].contains("admits at most"));
+        // Sizes the generator would reject with a panic are refused too.
+        for (op, args) in [
+            ("profile", ["--degrees", "-1"]),
+            ("profile", ["--degrees", "inf"]),
+            ("plan", ["--slo-p99", "--class=0:1:0"]),
+            ("plan", ["--slo-p99", "--class=NaN:1:0"]),
+        ] {
+            let reply = &replies(&[&request(op, &args)])[0];
+            assert!(reply.contains("must be positive"), "{reply}");
+        }
+        // The largest admitted sizes still parse; unparsable values are
+        // left for the command to reject.
+        let args = |d: &str| vec!["--degrees".to_string(), d.to_string()];
+        assert!(scenario_from(&args("64")).is_ok());
+        assert!(scenario_from(&args("200")).is_err());
+        assert!(check_command_args(&args("64")).is_ok());
+        assert!(check_command_args(&["--class".into(), "4:1:0".into()]).is_ok());
+        let bad = &replies(&[&request("profile", &["--degrees", "huge"])])[0];
+        assert!(bad.contains("cannot parse 'huge'"), "{bad}");
+    }
+
+    #[test]
+    fn metrics_carry_the_memo_series_after_the_cache_series() {
+        let text = metrics_text();
+        let cache = text.find("mcloud_cache_hits_total").unwrap();
+        for series in [
+            "mcloud_serve_workflow_memo_hits_total ",
+            "mcloud_serve_workflow_memo_misses_total ",
+            "mcloud_serve_workflow_memo_held_tasks ",
+        ] {
+            let at = text
+                .find(series)
+                .unwrap_or_else(|| panic!("{series}: {text}"));
+            assert!(at > cache, "{series}");
+        }
+        let resp = http(b"GET /metrics HTTP/1.1\r\n\r\n");
+        assert!(
+            resp.contains("mcloud_serve_workflow_memo_hits_total"),
+            "{resp}"
         );
     }
 }
