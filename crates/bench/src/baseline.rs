@@ -1,97 +1,57 @@
 //! The committed performance baseline: machine-readable engine throughput
 //! and allocation budgets, plus the regression gate CI runs against them.
 //!
-//! `repro bench-json` measures every workload in [`workloads`] — the
-//! paper's 1°/2°/4° mosaics plus the synthetic scale-up 8°/16° presets
-//! (~12k/~49k tasks), each in all three data-management modes — and writes
-//! `BENCH_baseline.json` at the workspace root. Two kinds of numbers are
-//! recorded per workload:
+//! `repro bench-json` measures the sections below and writes
+//! `BENCH_baseline.json` (schema [`SCHEMA`]) at the workspace root:
 //!
-//! * **Deterministic**: tasks, engine events per simulation, allocation
-//!   count / bytes / peak live bytes per simulation (from the
-//!   [`crate::alloc`] counting allocator). Identical on every machine for
-//!   a given source tree, so the CI gate compares them *strictly*: any
-//!   increase over the committed baseline fails.
-//! * **Environment-dependent**: simulations/sec and events/sec. These are
-//!   gated tolerantly (fail only when more than 70% below baseline) so the
-//!   gate catches order-of-magnitude regressions without flaking on
-//!   machine noise.
+//! * `workloads` — every workload in [`workloads`]: the paper's 1°/2°/4°
+//!   mosaics plus the synthetic scale-up 8°/16° presets (~12k/~49k
+//!   tasks), each in all three data-management modes
+//!   ([`WorkloadMeasurement`]);
+//! * `scaling` — informational worker-count rows for `1deg/regular`
+//!   batch throughput ([`ScalingRow`]; never gated);
+//! * `flatness` — per data mode, the 1°/16° events/sec ratio
+//!   ([`FlatnessRow`]). The paper's experiment is a size sweep, so the
+//!   simulator must not get slower *per event* as the mosaic grows: the
+//!   binary-heap/pointer-chasing kernel degraded ~12x from 1° to 16° on
+//!   the original baseline machine, the cache-native kernel (calendar
+//!   queue + struct-of-arrays engine state) holds ~2x;
+//! * `service` — a seeded streaming service campaign
+//!   ([`ServiceScaleRow`]);
+//! * `sweeps` — dense processor axes walked from scratch and through the
+//!   checkpoint/fork chain ([`SweepRow`]);
+//! * `cache` — the content-addressed result cache probed the way its hot
+//!   consumers use it ([`CacheRow`]).
 //!
-//! Schema v2 adds the batch-throughput columns:
+//! Two kinds of numbers are recorded:
 //!
-//! * `batch_allocs_per_sim` — allocations of one simulation on a *warm*
-//!   [`SimScratch`] (deterministic; strictly gated, and capped at
-//!   [`WARM_ALLOC_BUDGET`] for the paper-sized 1–4° workloads);
-//! * `batch_sims_per_sec` — throughput of [`mcloud_core::simulate_batch`]
-//!   over the persistent worker pool (environment-dependent; gated
-//!   tolerantly, and only when the lane count matches the committed file);
-//! * a top-level `workers`/`host_parallelism` pair recording the lane
-//!   count and core count of the measuring machine, plus informational
-//!   worker-count `scaling` rows for `1deg/regular`.
+//! * **Deterministic**: tasks, engine events, allocation count / bytes /
+//!   peak live bytes per simulation (from the [`crate::alloc`] counting
+//!   allocator), warm-scratch allocations, the engine's kernel counters
+//!   ([`mcloud_core::KernelStats`]), and the service, sweep-chain and
+//!   cache counters. Identical on every machine for a given source tree,
+//!   so the gate compares them *strictly*: budgets may not increase, and
+//!   counters that pin semantics may not change at all.
+//! * **Environment-dependent**: every per-second rate. These are gated
+//!   tolerantly (fail only when more than 70% below baseline) so the gate
+//!   catches order-of-magnitude regressions without flaking on machine
+//!   noise.
 //!
-//! When the measuring machine actually has parallelism to exploit
-//! (`workers > 1` and `host_parallelism > 1`), the gate also requires
-//! batch throughput to beat single-sim throughput by
-//! [`BATCH_SPEEDUP_GATE`]× on the headline `1deg/regular` and
-//! `4deg/regular` rows. Both sides of that ratio come from the *same*
-//! measurement run, so the check never compares across machines.
+//! A few checks compare two numbers of the *same* run, so machine speed
+//! cancels out of them: warm-scratch allocations within
+//! [`WARM_ALLOC_BUDGET`], batch over single-sim throughput on parallel
+//! hardware ([`BATCH_SPEEDUP_GATE`]), the flatness ratio against
+//! [`FLATNESS_TOLERANCE`]× its committed value, the sweep speedup floor
+//! ([`sweep_speedup_floor`]) and the planner replay floor
+//! ([`PLAN_REPLAY_GATE_PCT`]).
 //!
-//! Schema v3 adds the throughput-*flatness* rows: per data mode, the ratio
-//! of 1° to 16° events/sec. The paper's experiment is a size sweep, so the
-//! simulator must not get slower *per event* as the mosaic grows; the
-//! binary-heap/pointer-chasing kernel degraded ~12x from 1° to 16° on the
-//! original baseline machine, while the cache-native kernel (calendar
-//! queue + struct-of-arrays engine state) holds ~2x. Like the batch
-//! speedup gate, both sides of the ratio come from the same run, so the
-//! flatness gate is largely machine-independent; it fails when the ratio
-//! exceeds the committed one by more than [`FLATNESS_TOLERANCE`]×.
-//!
-//! Schema v4 adds the kernel-counter columns from the engine's
-//! self-telemetry ([`mcloud_core::KernelStats`]): calendar-queue pops,
-//! cancellations, and peak pending events per simulation. All three are
-//! deterministic — pure functions of the simulated event sequence — so the
-//! gate compares them exactly, the same way it treats `events`: any drift
-//! is a semantic change to the kernel, never noise.
-//!
-//! Schema v5 adds the service-scale row: a seeded streaming service
-//! campaign (diurnal/seasonal/flash-modulated class mix through the
-//! bounded-queue admission path) whose offered/admitted/rejected/deflected
-//! counters are deterministic and exactly gated, plus a
-//! `service_requests_per_sec` throughput column gated tolerantly like the
-//! other wall-clock numbers.
-//!
-//! Schema v6 adds the incremental-sweep rows: dense processor axes walked
-//! once from scratch and once through the checkpoint/fork chain
-//! ([`mcloud_core::IncrementalChain`]), both single-threaded in the same
-//! process. Two regimes are committed: `P = 1..=64` on the 4° mosaic
-//! (wide workflow — adjacent points diverge within ~`P` events, so the
-//! chain can only ever reuse a short prefix) and `P = 1..=256` on the 1°
-//! mosaic (the axis extends past peak parallelism, so most points resume
-//! from a terminal checkpoint with zero replay). The chain's resume/reuse
-//! counters are deterministic and exactly gated (they pin the
-//! witness/cadence semantics); the two points/sec columns are gated
-//! tolerantly; and the `speedup` quotient — both sides measured in the
-//! *same run*, so machine speed cancels — must stay above
-//! [`SWEEP_SPEEDUP_GATE`] on the 1° showcase row (see
-//! [`sweep_speedup_floor`]).
-//!
-//! Schema v7 adds the content-addressed cache row
-//! ([`mcloud_cache::ResultCache`]): a processor grid simulated twice
-//! through [`mcloud_cache::simulate_batch_cached`] against a *local*
-//! cache for exact `cold_misses` / `warm_hits` counters, a four-thread
-//! race on one cold key whose `single_flight_computes` must stay exactly
-//! 1 (however the threads interleave, single-flight lets one compute
-//! through), and a capacity-planner double-run via
-//! [`mcloud_service::plan_capacity_with_cache`] whose second pass must
-//! replay at least 90% of the candidate grid from lookups
-//! ([`PLAN_REPLAY_GATE_PCT`] — machine-local, both numbers from the
-//! current run). The counters are deterministic and exactly gated; the
-//! `warm_hits_per_sec` throughput column is gated tolerantly like every
-//! other wall-clock number.
-//!
-//! The JSON is hand-emitted with fixed key order so a re-run on identical
-//! hardware diffs minimally, and parsed back with a small field scanner —
-//! no external dependencies.
+//! Each section has one metric table: per column, the JSON key, output
+//! precision, field getter and setter, message label and gates.
+//! [`to_json`], [`from_json`], [`compare`] and [`delta_summary`] are each
+//! one generic pass over those tables, and [`compare`] reports exactly
+//! the cells [`delta_summary`] marks `FAIL`. The JSON is emitted with a
+//! fixed key order so a re-run on identical hardware diffs minimally, and
+//! read back with the workspace's JSON reader ([`mcloud_simkit::json`]).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -102,6 +62,7 @@ use mcloud_core::{
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, MosaicConfig};
+use mcloud_simkit::json::{self, Value};
 use mcloud_simkit::{configured_lanes, WorkerPool};
 
 use crate::alloc;
@@ -150,7 +111,7 @@ pub fn workloads() -> Vec<Workload> {
 }
 
 /// Measured numbers for one workload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WorkloadMeasurement {
     /// Workload identifier (`<degrees>deg/<mode>`).
     pub name: String,
@@ -196,7 +157,7 @@ impl WorkloadMeasurement {
 
 /// One informational worker-count scaling row: `1deg/regular` batch
 /// throughput on a dedicated pool of `workers` lanes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScalingRow {
     /// Lane count of the pool the row was measured on.
     pub workers: usize,
@@ -208,7 +169,7 @@ pub struct ScalingRow {
 /// processes events at 16° than at 1° in one data mode. A perfectly
 /// scale-oblivious kernel holds `ratio` ~1; a kernel that falls out of
 /// cache at 49k tasks shows a large ratio.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlatnessRow {
     /// Data-mode label (`regular` / `cleanup` / `remote-io`).
     pub mode: String,
@@ -225,7 +186,7 @@ pub struct FlatnessRow {
 /// request counters are event-derived and deterministic — the gate
 /// compares them exactly — while `requests_per_sec` is wall-clock and
 /// gated tolerantly.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServiceScaleRow {
     /// Stable scenario identifier.
     pub scenario: String,
@@ -346,7 +307,7 @@ pub fn measure_service_scale(budget_ms: u64) -> Vec<ServiceScaleRow> {
 /// exactly; the points/sec columns are wall-clock and gated tolerantly;
 /// and the same-run `speedup` quotient must hold the row's
 /// [`sweep_speedup_floor`], when it has one.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepRow {
     /// Stable axis identifier, e.g. `processors/4deg-regular`.
     pub axis: String,
@@ -479,7 +440,7 @@ pub fn measure_sweep_scale(budget_ms: u64) -> Vec<SweepRow> {
 /// gate compares them exactly; `warm_hits_per_sec` is wall-clock and
 /// gated tolerantly; and the planner-replay quotient is a same-run,
 /// machine-local hard floor (see [`PLAN_REPLAY_GATE_PCT`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheRow {
     /// Stable scenario identifier.
     pub scenario: String,
@@ -805,267 +766,321 @@ pub fn measure_all(budget_ms: u64, mut progress: impl FnMut(&WorkloadMeasurement
     }
 }
 
-// --- JSON ------------------------------------------------------------------
+// --- the metric tables ------------------------------------------------------
+
+/// How the gate judges one metric of a row present on both sides.
+enum Gate<R> {
+    /// Deterministic counter: any change, either way, is semantic drift.
+    Exact,
+    /// Deterministic budget: any increase fails; a decrease is an
+    /// improvement.
+    NoIncrease,
+    /// Wall-clock throughput: fails when it falls more than `loss` below
+    /// the committed value. With `same_lanes`, only when the current run
+    /// used the committed file's worker-lane count, since throughput at
+    /// different `MCLOUD_WORKERS` settings is not comparable.
+    Tolerance { loss: f64, same_lanes: bool },
+    /// Same-run quotient: fails when it grows past this factor times the
+    /// committed quotient.
+    RatioCeiling(f64),
+    /// Same-run hard floor: the bound the current row must reach, if it
+    /// has one, and the words naming it. The committed value is not
+    /// consulted, so the check is machine-local.
+    Floor(fn(&R) -> Option<(f64, String)>),
+    /// [`WARM_ALLOC_BUDGET`] on the paper-sized (1–4°) workloads: absolute,
+    /// not relative, because batch lanes must stay allocation-free at
+    /// steady state.
+    WarmAllocBudget,
+    /// Batch throughput at least [`BATCH_SPEEDUP_GATE`]× the row's
+    /// single-sim rate (read by the function) on the
+    /// [`SPEEDUP_GATED_ROWS`], when the current run has more than one lane
+    /// and more than one core. Both rates come from the current run.
+    BatchSpeedup(fn(&R) -> f64),
+}
+
+impl<R> Gate<R> {
+    /// The tolerant gate every wall-clock throughput column carries.
+    const THROUGHPUT: Self = Gate::Tolerance {
+        loss: THROUGHPUT_TOLERANCE,
+        same_lanes: false,
+    };
+}
+
+/// Output precision of an integer column (emitted bare, no decimals).
+const INT: Option<usize> = None;
+
+/// One column of a row kind: how it is emitted, parsed, named and gated.
+struct Metric<R: 'static> {
+    /// JSON key.
+    key: &'static str,
+    /// Column name in the delta table.
+    column: &'static str,
+    /// Decimals in the JSON and in messages; [`INT`] for integer columns.
+    prec: Option<usize>,
+    get: fn(&R) -> f64,
+    /// `None` for derived columns, which are emitted but never parsed.
+    set: Option<fn(&mut R, f64)>,
+    /// Noun phrase naming the metric in gate messages.
+    label: &'static str,
+    /// Gates applied in order; empty for informational columns.
+    gates: &'static [Gate<R>],
+}
+
+impl<R: 'static> Metric<R> {
+    fn fmt(&self, v: f64) -> String {
+        match self.prec {
+            // Integer columns are counts held exactly in an f64.
+            None => format!("{}", v as u64),
+            Some(p) => format!("{v:.p$}"),
+        }
+    }
+}
+
+/// A metric column backed by the numeric row field `$field`. The JSON key
+/// and the delta-table column default to the field name.
+macro_rules! metric {
+    ($field:ident: $ty:ty, $prec:expr, $label:literal, $gates:expr
+     $(, key = $key:literal)? $(, column = $column:literal)?) => {
+        Metric {
+            key: { let _k = stringify!($field); $(let _k = $key;)? _k },
+            column: { let _c = stringify!($field); $(let _c = $column;)? _c },
+            prec: $prec,
+            get: |r| r.$field as f64,
+            set: Some(|r, v| r.$field = v as $ty),
+            label: $label,
+            gates: $gates,
+        }
+    };
+}
+
+/// The string field identifying a row within its section.
+struct RowId<R> {
+    key: &'static str,
+    get: fn(&R) -> &str,
+    set: fn(&mut R, String),
+}
+
+/// A row kind: its JSON array, its identity and its metric table.
+struct Section<R: 'static> {
+    /// JSON key of the row array.
+    key: &'static str,
+    /// Prefix naming the section's rows in messages.
+    prefix: &'static str,
+    /// `None` only for the informational scaling rows, which carry no
+    /// string id and no gate.
+    id: Option<RowId<R>>,
+    metrics: &'static [Metric<R>],
+}
+
+#[rustfmt::skip]
+const WORKLOADS: Section<WorkloadMeasurement> = Section {
+    key: "workloads",
+    prefix: "",
+    id: Some(RowId { key: "name", get: |r| &r.name, set: |r, v| r.name = v }),
+    metrics: &[
+        metric!(tasks: u64, INT, "tasks", &[]),
+        metric!(events: u64, INT, "events per simulation", &[Gate::Exact]),
+        metric!(allocs_per_sim: u64, INT, "allocations per simulation", &[Gate::NoIncrease]),
+        metric!(alloc_bytes_per_sim: u64, INT, "allocated bytes per simulation", &[Gate::NoIncrease]),
+        metric!(peak_live_bytes: u64, INT, "peak live bytes per simulation", &[Gate::NoIncrease]),
+        Metric {
+            key: "allocs_per_task", column: "allocs_per_task", prec: Some(2),
+            get: WorkloadMeasurement::allocs_per_task, set: None,
+            label: "allocations per task", gates: &[],
+        },
+        metric!(sims_per_sec: f64, Some(2), "sims/sec", &[]),
+        metric!(events_per_sec: f64, Some(0), "events/sec", &[Gate::THROUGHPUT]),
+        metric!(batch_allocs_per_sim: u64, INT, "warm-scratch allocations per simulation",
+                &[Gate::NoIncrease, Gate::WarmAllocBudget]),
+        metric!(batch_sims_per_sec: f64, Some(2), "batch sims/sec", &[
+            Gate::Tolerance { loss: BATCH_THROUGHPUT_TOLERANCE, same_lanes: true },
+            Gate::BatchSpeedup(|r| r.sims_per_sec),
+        ]),
+        metric!(queue_pops: u64, INT, "calendar-queue pops per simulation", &[Gate::Exact]),
+        metric!(queue_cancellations: u64, INT, "calendar-queue cancellations per simulation", &[Gate::Exact]),
+        metric!(queue_peak_pending: u64, INT, "calendar-queue peak pending per simulation", &[Gate::Exact]),
+    ],
+};
+
+#[rustfmt::skip]
+const SCALING: Section<ScalingRow> = Section {
+    key: "scaling",
+    prefix: "scaling/",
+    id: None,
+    metrics: &[
+        metric!(workers: usize, INT, "worker lanes", &[]),
+        metric!(batch_sims_per_sec: f64, Some(2), "batch sims/sec", &[]),
+    ],
+};
+
+#[rustfmt::skip]
+const FLATNESS: Section<FlatnessRow> = Section {
+    key: "flatness",
+    prefix: "flatness/",
+    id: Some(RowId { key: "mode", get: |r| &r.mode, set: |r, v| r.mode = v }),
+    metrics: &[
+        metric!(small_events_per_sec: f64, Some(0), "1deg events/sec", &[]),
+        metric!(large_events_per_sec: f64, Some(0), "16deg events/sec", &[]),
+        metric!(ratio: f64, Some(3), "1deg/16deg events-per-sec ratio",
+                &[Gate::RatioCeiling(FLATNESS_TOLERANCE)], column = "ratio_1deg_16deg"),
+    ],
+};
+
+#[rustfmt::skip]
+const SERVICE: Section<ServiceScaleRow> = Section {
+    key: "service",
+    prefix: "service/",
+    id: Some(RowId { key: "scenario", get: |r| &r.scenario, set: |r, v| r.scenario = v }),
+    metrics: &[
+        metric!(offered: u64, INT, "offered requests", &[Gate::Exact]),
+        metric!(admitted: u64, INT, "admitted requests", &[Gate::Exact]),
+        metric!(rejected: u64, INT, "rejected requests", &[Gate::Exact]),
+        metric!(deflected: u64, INT, "deflected requests", &[Gate::Exact]),
+        metric!(requests_per_sec: f64, Some(0), "requests/sec", &[Gate::THROUGHPUT],
+                key = "service_requests_per_sec"),
+    ],
+};
+
+#[rustfmt::skip]
+const SWEEPS: Section<SweepRow> = Section {
+    key: "sweeps",
+    prefix: "sweep/",
+    id: Some(RowId { key: "axis", get: |r| &r.axis, set: |r, v| r.axis = v }),
+    metrics: &[
+        metric!(points: u64, INT, "sweep points", &[Gate::Exact]),
+        metric!(resumed: u64, INT, "resumed points", &[Gate::Exact]),
+        metric!(reused_events: u64, INT, "reused events", &[Gate::Exact]),
+        metric!(total_events: u64, INT, "total events", &[Gate::Exact]),
+        metric!(scratch_points_per_sec: f64, Some(2), "scratch points/sec", &[Gate::THROUGHPUT]),
+        metric!(incremental_points_per_sec: f64, Some(2), "incremental points/sec",
+                &[Gate::THROUGHPUT], column = "incr_points_per_sec"),
+        metric!(speedup: f64, Some(2), "incremental speedup", &[Gate::Floor(|r| {
+            sweep_speedup_floor(&r.axis).map(|floor| (floor, format!("{floor:.1}x floor")))
+        })]),
+    ],
+};
+
+#[rustfmt::skip]
+const CACHE: Section<CacheRow> = Section {
+    key: "cache",
+    prefix: "cache/",
+    id: Some(RowId { key: "scenario", get: |r| &r.scenario, set: |r, v| r.scenario = v }),
+    metrics: &[
+        metric!(cold_misses: u64, INT, "cold misses", &[Gate::Exact]),
+        metric!(warm_hits: u64, INT, "warm hits", &[Gate::Exact]),
+        metric!(single_flight_computes: u64, INT, "single-flight computes", &[Gate::Exact]),
+        metric!(plan_candidates: u64, INT, "plan candidates", &[Gate::Exact]),
+        metric!(plan_warm_hits: u64, INT, "candidates replayed from cache on re-planning", &[Gate::Floor(|r| {
+            let floor = (r.plan_candidates * PLAN_REPLAY_GATE_PCT) as f64 / 100.0;
+            Some((floor, format!("{PLAN_REPLAY_GATE_PCT}% floor of {} candidates", r.plan_candidates)))
+        })]),
+        metric!(warm_hits_per_sec: f64, Some(0), "warm hits/sec", &[Gate::THROUGHPUT]),
+    ],
+};
+
+// --- JSON -------------------------------------------------------------------
 
 /// Schema tag written into (and required from) the baseline file.
 pub const SCHEMA: &str = "mcloud-bench-baseline/v7";
 
-/// Serializes a baseline as pretty-printed JSON with a fixed key order.
-pub fn to_json(b: &Baseline) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-    let _ = writeln!(s, "  \"workers\": {},", b.workers);
-    let _ = writeln!(s, "  \"host_parallelism\": {},", b.host_parallelism);
-    s.push_str("  \"workloads\": [\n");
-    for (i, w) in b.workloads.iter().enumerate() {
-        let comma = if i + 1 < b.workloads.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"name\": \"{}\", \"tasks\": {}, \"events\": {}, \
-             \"allocs_per_sim\": {}, \"alloc_bytes_per_sim\": {}, \
-             \"peak_live_bytes\": {}, \"allocs_per_task\": {:.2}, \
-             \"sims_per_sec\": {:.2}, \"events_per_sec\": {:.0}, \
-             \"batch_allocs_per_sim\": {}, \"batch_sims_per_sec\": {:.2}, \
-             \"queue_pops\": {}, \"queue_cancellations\": {}, \
-             \"queue_peak_pending\": {}}}{comma}",
-            w.name,
-            w.tasks,
-            w.events,
-            w.allocs_per_sim,
-            w.alloc_bytes_per_sim,
-            w.peak_live_bytes,
-            w.allocs_per_task(),
-            w.sims_per_sec,
-            w.events_per_sec,
-            w.batch_allocs_per_sim,
-            w.batch_sims_per_sec,
-            w.queue_pops,
-            w.queue_cancellations,
-            w.queue_peak_pending,
-        );
+/// Renders one section as a JSON array, one row object per line.
+fn emit<R>(sec: &Section<R>, rows: &[R]) -> String {
+    let mut s = format!("  \"{}\": [\n", sec.key);
+    for (i, row) in rows.iter().enumerate() {
+        let id = sec
+            .id
+            .iter()
+            .map(|id| format!("\"{}\": \"{}\"", id.key, json::escape((id.get)(row))));
+        let metrics = sec
+            .metrics
+            .iter()
+            .map(|m| format!("\"{}\": {}", m.key, m.fmt((m.get)(row))));
+        let fields: Vec<String> = id.chain(metrics).collect();
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(s, "    {{{}}}{comma}", fields.join(", "));
     }
-    s.push_str("  ],\n");
-    s.push_str("  \"scaling\": [\n");
-    for (i, r) in b.scaling.iter().enumerate() {
-        let comma = if i + 1 < b.scaling.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"workers\": {}, \"batch_sims_per_sec\": {:.2}}}{comma}",
-            r.workers, r.batch_sims_per_sec,
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"flatness\": [\n");
-    for (i, f) in b.flatness.iter().enumerate() {
-        let comma = if i + 1 < b.flatness.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"mode\": \"{}\", \"small_events_per_sec\": {:.0}, \
-             \"large_events_per_sec\": {:.0}, \"ratio\": {:.3}}}{comma}",
-            f.mode, f.small_events_per_sec, f.large_events_per_sec, f.ratio,
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"service\": [\n");
-    for (i, r) in b.service.iter().enumerate() {
-        let comma = if i + 1 < b.service.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"scenario\": \"{}\", \"offered\": {}, \"admitted\": {}, \
-             \"rejected\": {}, \"deflected\": {}, \
-             \"service_requests_per_sec\": {:.0}}}{comma}",
-            r.scenario, r.offered, r.admitted, r.rejected, r.deflected, r.requests_per_sec,
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"sweeps\": [\n");
-    for (i, r) in b.sweeps.iter().enumerate() {
-        let comma = if i + 1 < b.sweeps.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"axis\": \"{}\", \"points\": {}, \"resumed\": {}, \
-             \"reused_events\": {}, \"total_events\": {}, \
-             \"scratch_points_per_sec\": {:.2}, \
-             \"incremental_points_per_sec\": {:.2}, \"speedup\": {:.2}}}{comma}",
-            r.axis,
-            r.points,
-            r.resumed,
-            r.reused_events,
-            r.total_events,
-            r.scratch_points_per_sec,
-            r.incremental_points_per_sec,
-            r.speedup,
-        );
-    }
-    s.push_str("  ],\n");
-    s.push_str("  \"cache\": [\n");
-    for (i, r) in b.cache.iter().enumerate() {
-        let comma = if i + 1 < b.cache.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"scenario\": \"{}\", \"cold_misses\": {}, \"warm_hits\": {}, \
-             \"single_flight_computes\": {}, \"plan_candidates\": {}, \
-             \"plan_warm_hits\": {}, \"warm_hits_per_sec\": {:.0}}}{comma}",
-            r.scenario,
-            r.cold_misses,
-            r.warm_hits,
-            r.single_flight_computes,
-            r.plan_candidates,
-            r.plan_warm_hits,
-            r.warm_hits_per_sec,
-        );
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str("  ]");
     s
 }
 
-/// Pulls `"key": <number>` out of a JSON object line.
-fn num_field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// Serializes a baseline as pretty-printed JSON with a fixed key order.
+pub fn to_json(b: &Baseline) -> String {
+    let sections = [
+        emit(&WORKLOADS, &b.workloads),
+        emit(&SCALING, &b.scaling),
+        emit(&FLATNESS, &b.flatness),
+        emit(&SERVICE, &b.service),
+        emit(&SWEEPS, &b.sweeps),
+        emit(&CACHE, &b.cache),
+    ];
+    format!(
+        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"workers\": {},\n  \"host_parallelism\": {},\n{}\n}}\n",
+        b.workers,
+        b.host_parallelism,
+        sections.join(",\n")
+    )
 }
 
-/// Pulls `"key": "<string>"` out of a JSON object line.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    Some(rest[..rest.find('"')?].to_string())
+/// Reads one section's rows back; an absent section is empty.
+fn parse_rows<R: Default>(doc: &Value, sec: &Section<R>) -> Result<Vec<R>, String> {
+    let Some(rows) = doc.get(sec.key) else {
+        return Ok(Vec::new());
+    };
+    let rows = rows
+        .as_array()
+        .ok_or_else(|| format!("baseline field {:?} is not an array", sec.key))?;
+    let missing = |key: &str| format!("a {:?} row lacks the field {key:?}", sec.key);
+    rows.iter()
+        .map(|v| {
+            let mut row = R::default();
+            if let Some(id) = &sec.id {
+                let s = v.get(id.key).and_then(Value::as_str);
+                (id.set)(&mut row, s.ok_or_else(|| missing(id.key))?.to_string());
+            }
+            for m in sec.metrics {
+                if let Some(set) = m.set {
+                    set(
+                        &mut row,
+                        v.get(m.key)
+                            .and_then(Value::as_f64)
+                            .ok_or_else(|| missing(m.key))?,
+                    );
+                }
+            }
+            Ok(row)
+        })
+        .collect()
 }
 
 /// Parses a baseline file produced by [`to_json`].
 ///
 /// # Errors
-/// Returns a message when the schema tag is missing/mismatched or a
-/// workload line lacks a required field.
+/// Returns a message when the file is not JSON, its schema tag is missing
+/// or mismatched, or a row lacks a required field.
 pub fn from_json(text: &str) -> Result<Baseline, String> {
-    if !text.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+    let doc = json::parse(text).map_err(|e| format!("baseline file is not JSON: {e}"))?;
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
         return Err(format!("baseline file does not carry schema {SCHEMA:?}"));
     }
-    let mut workers = None;
-    let mut host_parallelism = None;
-    let mut workloads = Vec::new();
-    let mut scaling = Vec::new();
-    let mut flatness = Vec::new();
-    let mut service = Vec::new();
-    let mut sweeps = Vec::new();
-    let mut cache = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        // The cache, sweep and service rows are classified first: their
-        // key sets must never be shadowed by the broader matchers below
-        // (a cache row carries "scenario" too, so its unique
-        // "cold_misses" key is checked before the service matcher).
-        if line.starts_with('{') && line.contains("\"cold_misses\"") {
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            cache.push(CacheRow {
-                scenario: str_field(line, "scenario")
-                    .ok_or_else(|| format!("missing scenario: {line}"))?,
-                cold_misses: get("cold_misses")? as u64,
-                warm_hits: get("warm_hits")? as u64,
-                single_flight_computes: get("single_flight_computes")? as u64,
-                plan_candidates: get("plan_candidates")? as u64,
-                plan_warm_hits: get("plan_warm_hits")? as u64,
-                warm_hits_per_sec: get("warm_hits_per_sec")?,
-            });
-        } else if line.starts_with('{') && line.contains("\"axis\"") {
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            sweeps.push(SweepRow {
-                axis: str_field(line, "axis").ok_or_else(|| format!("missing axis: {line}"))?,
-                points: get("points")? as u64,
-                resumed: get("resumed")? as u64,
-                reused_events: get("reused_events")? as u64,
-                total_events: get("total_events")? as u64,
-                scratch_points_per_sec: get("scratch_points_per_sec")?,
-                incremental_points_per_sec: get("incremental_points_per_sec")?,
-                speedup: get("speedup")?,
-            });
-        } else if line.starts_with('{') && line.contains("\"scenario\"") {
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            service.push(ServiceScaleRow {
-                scenario: str_field(line, "scenario")
-                    .ok_or_else(|| format!("missing scenario: {line}"))?,
-                offered: get("offered")? as u64,
-                admitted: get("admitted")? as u64,
-                rejected: get("rejected")? as u64,
-                deflected: get("deflected")? as u64,
-                requests_per_sec: get("service_requests_per_sec")?,
-            });
-        } else if line.starts_with('{') && line.contains("\"name\"") {
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            workloads.push(WorkloadMeasurement {
-                name: str_field(line, "name").ok_or_else(|| format!("missing name: {line}"))?,
-                tasks: get("tasks")? as u64,
-                events: get("events")? as u64,
-                allocs_per_sim: get("allocs_per_sim")? as u64,
-                alloc_bytes_per_sim: get("alloc_bytes_per_sim")? as u64,
-                peak_live_bytes: get("peak_live_bytes")? as u64,
-                sims_per_sec: get("sims_per_sec")?,
-                events_per_sec: get("events_per_sec")?,
-                batch_allocs_per_sim: get("batch_allocs_per_sim")? as u64,
-                batch_sims_per_sec: get("batch_sims_per_sec")?,
-                queue_pops: get("queue_pops")? as u64,
-                queue_cancellations: get("queue_cancellations")? as u64,
-                queue_peak_pending: get("queue_peak_pending")? as u64,
-            });
-        } else if line.starts_with('{') && line.contains("\"workers\"") {
-            // A scaling row: {"workers": N, "batch_sims_per_sec": X}.
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            scaling.push(ScalingRow {
-                workers: get("workers")? as usize,
-                batch_sims_per_sec: get("batch_sims_per_sec")?,
-            });
-        } else if line.starts_with('{') && line.contains("\"mode\"") {
-            // A flatness row:
-            // {"mode": "...", "small_events_per_sec": A,
-            //  "large_events_per_sec": B, "ratio": R}.
-            let get = |key: &str| {
-                num_field(line, key).ok_or_else(|| format!("missing numeric field {key:?}: {line}"))
-            };
-            flatness.push(FlatnessRow {
-                mode: str_field(line, "mode").ok_or_else(|| format!("missing mode: {line}"))?,
-                small_events_per_sec: get("small_events_per_sec")?,
-                large_events_per_sec: get("large_events_per_sec")?,
-                ratio: get("ratio")?,
-            });
-        } else if !line.starts_with('{') {
-            if workers.is_none() {
-                workers = num_field(line, "workers").map(|v| v as usize);
-            }
-            if host_parallelism.is_none() {
-                host_parallelism = num_field(line, "host_parallelism").map(|v| v as usize);
-            }
-        }
-    }
+    let count = |key: &str| {
+        doc.get(key)
+            .and_then(Value::as_f64)
+            .map(|v| v as usize)
+            .ok_or_else(|| format!("baseline file lacks a top-level {key:?} field"))
+    };
+    let workloads = parse_rows(&doc, &WORKLOADS)?;
     if workloads.is_empty() {
         return Err("baseline file contains no workloads".into());
     }
     Ok(Baseline {
-        workers: workers.ok_or("baseline file lacks a top-level \"workers\" field")?,
-        host_parallelism: host_parallelism
-            .ok_or("baseline file lacks a top-level \"host_parallelism\" field")?,
+        workers: count("workers")?,
+        host_parallelism: count("host_parallelism")?,
         workloads,
-        scaling,
-        flatness,
-        service,
-        sweeps,
-        cache,
+        scaling: parse_rows(&doc, &SCALING)?,
+        flatness: parse_rows(&doc, &FLATNESS)?,
+        service: parse_rows(&doc, &SERVICE)?,
+        sweeps: parse_rows(&doc, &SWEEPS)?,
+        cache: parse_rows(&doc, &CACHE)?,
     })
 }
 
@@ -1143,521 +1158,204 @@ pub const PLAN_REPLAY_GATE_PCT: u64 = 90;
 /// (fail above ~4x) separates the two regimes with margin on both sides.
 pub const FLATNESS_TOLERANCE: f64 = 2.0;
 
+/// What the same-run gates read from the current measurement as a whole.
+struct Run {
+    workers: usize,
+    host_parallelism: usize,
+    /// The current run used the committed file's worker-lane count.
+    same_lanes: bool,
+}
+
+impl<R: 'static> Gate<R> {
+    /// Why `new`, of the current row `cur` named `row`, fails this gate
+    /// against the committed `old`; `None` when it passes.
+    fn failure(
+        &self,
+        m: &Metric<R>,
+        row: &str,
+        old: f64,
+        new: f64,
+        cur: &R,
+        run: &Run,
+    ) -> Option<String> {
+        let (o, n) = (m.fmt(old), m.fmt(new));
+        match *self {
+            Gate::Exact => (new != old).then(|| format!("changed {o} -> {n} (semantics drift?)")),
+            Gate::NoIncrease => (new > old).then(|| format!("regressed {o} -> {n}")),
+            Gate::Tolerance { loss, same_lanes } => {
+                let (floor, pct) = (old * (1.0 - loss), loss * 100.0);
+                ((run.same_lanes || !same_lanes) && new < floor).then(|| {
+                    format!(
+                        "fell more than {pct:.0}% below baseline ({n} < {})",
+                        m.fmt(floor)
+                    )
+                })
+            }
+            Gate::RatioCeiling(factor) => (new > old * factor)
+                .then(|| format!("grew {o} -> {n} (ceiling {})", m.fmt(old * factor))),
+            Gate::Floor(bound) => {
+                let (floor, name) = bound(cur)?;
+                (new < floor).then(|| format!("{n} is below the {name}"))
+            }
+            Gate::WarmAllocBudget => {
+                let paper_sized = ["1deg/", "2deg/", "4deg/"]
+                    .iter()
+                    .any(|p| row.starts_with(p));
+                (paper_sized && new > WARM_ALLOC_BUDGET as f64)
+                    .then(|| format!("exceed the {WARM_ALLOC_BUDGET} budget ({n})"))
+            }
+            Gate::BatchSpeedup(single_sim) => {
+                let (single, lanes, cores) = (single_sim(cur), run.workers, run.host_parallelism);
+                let parallel = lanes > 1 && cores > 1 && SPEEDUP_GATED_ROWS.contains(&row);
+                (parallel && new < BATCH_SPEEDUP_GATE * single).then(|| {
+                    format!(
+                        "{n} is below {BATCH_SPEEDUP_GATE:.1}x the single-sim rate {single:.2} \
+                         despite {lanes} worker lanes on {cores} cores"
+                    )
+                })
+            }
+        }
+    }
+}
+
+/// One line of the delta table: a gated metric of a row present on both
+/// sides, or a whole row present on one side only, with the messages of
+/// every gate it fails.
+struct Cell {
+    row: String,
+    column: &'static str,
+    old: String,
+    new: String,
+    failures: Vec<String>,
+}
+
+impl Cell {
+    /// A row present on one side only.
+    fn whole_row(row: String, old: &str, new: &str, why: &str) -> Cell {
+        let failures = vec![format!("{row}: {why}")];
+        let (column, old, new) = ("(whole row)", old.into(), new.into());
+        Cell {
+            row,
+            column,
+            old,
+            new,
+            failures,
+        }
+    }
+}
+
+/// Evaluates one section's gates, in committed-row then table order. A
+/// row present on only one side is a single failing `(whole row)` cell,
+/// whichever side lacks it.
+fn gate_rows<R>(sec: &Section<R>, current: &[R], committed: &[R], run: &Run) -> Vec<Cell> {
+    let id = sec.id.as_ref().expect("gated sections identify their rows");
+    let name = |r: &R| format!("{}{}", sec.prefix, (id.get)(r));
+    let find = |rows: &[R], r: &R| rows.iter().position(|x| (id.get)(x) == (id.get)(r));
+    let mut cells = Vec::new();
+    for b in committed {
+        let Some(i) = find(current, b) else {
+            let why = "row missing from the current measurement";
+            cells.push(Cell::whole_row(name(b), "present", "absent", why));
+            continue;
+        };
+        let (c, row) = (&current[i], name(b));
+        for m in sec.metrics.iter().filter(|m| !m.gates.is_empty()) {
+            let (old, new) = ((m.get)(b), (m.get)(c));
+            let failures = m
+                .gates
+                .iter()
+                .filter_map(|g| g.failure(m, &row, old, new, c, run));
+            cells.push(Cell {
+                row: row.clone(),
+                column: m.column,
+                old: m.fmt(old),
+                new: m.fmt(new),
+                failures: failures
+                    .map(|why| format!("{row}: {} {why}", m.label))
+                    .collect(),
+            });
+        }
+    }
+    for c in current.iter().filter(|c| find(committed, c).is_none()) {
+        let why = "not present in the committed baseline (re-run `repro bench-json --out`)";
+        cells.push(Cell::whole_row(name(c), "absent", "present", why));
+    }
+    cells
+}
+
+/// Every gated cell of every section, in table order. The scaling rows
+/// are informational and take no part.
+fn evaluate(current: &Baseline, committed: &Baseline) -> Vec<Cell> {
+    let run = &Run {
+        workers: current.workers,
+        host_parallelism: current.host_parallelism,
+        same_lanes: current.workers == committed.workers,
+    };
+    [
+        gate_rows(&WORKLOADS, &current.workloads, &committed.workloads, run),
+        gate_rows(&FLATNESS, &current.flatness, &committed.flatness, run),
+        gate_rows(&SERVICE, &current.service, &committed.service, run),
+        gate_rows(&SWEEPS, &current.sweeps, &committed.sweeps, run),
+        gate_rows(&CACHE, &current.cache, &committed.cache, run),
+    ]
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
 /// Compares a fresh measurement against the committed baseline.
 ///
-/// Returns the list of human-readable violations (empty = gate passes):
-/// * any *increase* in allocations or allocated bytes per simulation, in
-///   warm-scratch allocations, or in events per simulation — these are
+/// Returns the list of human-readable violations (empty = gate passes).
+/// Each metric's gates are listed in its section's table:
+/// * any *increase* in allocations, allocated bytes or peak live bytes per
+///   simulation, or in warm-scratch allocations — these are
 ///   deterministic, so an increase is a real regression, never noise;
+/// * any change in events per simulation, in the calendar-queue counters,
+///   or in the service, sweep and cache counters (deterministic, exact);
 /// * warm-scratch allocations above [`WARM_ALLOC_BUDGET`] on a 1–4°
-///   workload (absolute, not relative: the batch lanes must stay
-///   allocation-free at steady state);
-/// * an events/sec drop of more than [`THROUGHPUT_TOLERANCE`];
-/// * a batch sims/sec drop of more than [`BATCH_THROUGHPUT_TOLERANCE`] —
-///   only when the lane counts match, since batch throughput at different
-///   `MCLOUD_WORKERS` settings is not comparable;
+///   workload;
+/// * a drop of more than [`THROUGHPUT_TOLERANCE`] in any throughput
+///   column, or of more than [`BATCH_THROUGHPUT_TOLERANCE`] in batch
+///   sims/sec when the lane counts match;
 /// * on a machine with both `workers > 1` and `host_parallelism > 1`:
 ///   batch throughput below [`BATCH_SPEEDUP_GATE`]× single-sim throughput
-///   on the [`SPEEDUP_GATED_ROWS`]. Both numbers come from the *current*
-///   run, so the check is machine-local and cannot flake on hardware
-///   differences from the committed file;
+///   on the [`SPEEDUP_GATED_ROWS`];
 /// * a per-mode 1°/16° events/sec ratio more than [`FLATNESS_TOLERANCE`]×
-///   the committed ratio, or a mode whose flatness row disappeared;
-/// * any drift in the cache row's hit/miss/single-flight counters
-///   (deterministic, exact), a planner replay below
-///   [`PLAN_REPLAY_GATE_PCT`]% of the current run's candidate grid
-///   (machine-local), or a warm-probe throughput drop of more than
-///   [`THROUGHPUT_TOLERANCE`].
+///   the committed ratio;
+/// * a sweep speedup below its [`sweep_speedup_floor`], or a planner
+///   replay below [`PLAN_REPLAY_GATE_PCT`]% of the current run's
+///   candidate grid;
+/// * a row of a gated section present on one side only, in either
+///   direction.
 ///
-/// Improvements never fail the gate; re-baseline to lock them in.
+/// The same-run checks (budget, speedups, replay floor) read only the
+/// current run, so they cannot flake on hardware differences from the
+/// committed file. Improvements never fail the gate; re-baseline to lock
+/// them in.
 pub fn compare(current: &Baseline, committed: &Baseline) -> Vec<String> {
-    let mut violations = Vec::new();
-    for c in &current.workloads {
-        let Some(b) = committed.workloads.iter().find(|w| w.name == c.name) else {
-            violations.push(format!(
-                "{}: not present in the committed baseline (re-run `repro bench-json --out`)",
-                c.name
-            ));
-            continue;
-        };
-        if c.allocs_per_sim > b.allocs_per_sim {
-            violations.push(format!(
-                "{}: allocations per simulation regressed {} -> {}",
-                c.name, b.allocs_per_sim, c.allocs_per_sim
-            ));
-        }
-        if c.alloc_bytes_per_sim > b.alloc_bytes_per_sim {
-            violations.push(format!(
-                "{}: allocated bytes per simulation regressed {} -> {}",
-                c.name, b.alloc_bytes_per_sim, c.alloc_bytes_per_sim
-            ));
-        }
-        if c.events != b.events {
-            violations.push(format!(
-                "{}: events per simulation changed {} -> {} (semantics drift?)",
-                c.name, b.events, c.events
-            ));
-        }
-        // The kernel counters are event-derived, so like `events` any
-        // change is a semantic drift, not noise.
-        for (metric, old, new) in [
-            ("calendar-queue pops", b.queue_pops, c.queue_pops),
-            (
-                "calendar-queue cancellations",
-                b.queue_cancellations,
-                c.queue_cancellations,
-            ),
-            (
-                "calendar-queue peak pending",
-                b.queue_peak_pending,
-                c.queue_peak_pending,
-            ),
-        ] {
-            if new != old {
-                violations.push(format!(
-                    "{}: {metric} per simulation changed {old} -> {new} (semantics drift?)",
-                    c.name
-                ));
-            }
-        }
-        if c.batch_allocs_per_sim > b.batch_allocs_per_sim {
-            violations.push(format!(
-                "{}: warm-scratch allocations per simulation regressed {} -> {}",
-                c.name, b.batch_allocs_per_sim, c.batch_allocs_per_sim
-            ));
-        }
-        let paper_sized = ["1deg/", "2deg/", "4deg/"]
-            .iter()
-            .any(|p| c.name.starts_with(p));
-        if paper_sized && c.batch_allocs_per_sim > WARM_ALLOC_BUDGET {
-            violations.push(format!(
-                "{}: warm-scratch allocations per simulation exceed the {} budget ({})",
-                c.name, WARM_ALLOC_BUDGET, c.batch_allocs_per_sim
-            ));
-        }
-        let floor = b.events_per_sec * (1.0 - THROUGHPUT_TOLERANCE);
-        if c.events_per_sec < floor {
-            violations.push(format!(
-                "{}: events/sec fell more than {:.0}% below baseline ({:.0} < {:.0})",
-                c.name,
-                THROUGHPUT_TOLERANCE * 100.0,
-                c.events_per_sec,
-                floor
-            ));
-        }
-        if current.workers == committed.workers {
-            let floor = b.batch_sims_per_sec * (1.0 - BATCH_THROUGHPUT_TOLERANCE);
-            if c.batch_sims_per_sec < floor {
-                violations.push(format!(
-                    "{}: batch sims/sec fell more than {:.0}% below baseline ({:.2} < {:.2})",
-                    c.name,
-                    BATCH_THROUGHPUT_TOLERANCE * 100.0,
-                    c.batch_sims_per_sec,
-                    floor
-                ));
-            }
-        }
-        if current.workers > 1
-            && current.host_parallelism > 1
-            && SPEEDUP_GATED_ROWS.contains(&c.name.as_str())
-            && c.batch_sims_per_sec < BATCH_SPEEDUP_GATE * c.sims_per_sec
-        {
-            violations.push(format!(
-                "{}: batch throughput {:.2} sims/s is below {:.1}x the single-sim \
-                 rate {:.2} sims/s despite {} worker lanes on {} cores",
-                c.name,
-                c.batch_sims_per_sec,
-                BATCH_SPEEDUP_GATE,
-                c.sims_per_sec,
-                current.workers,
-                current.host_parallelism
-            ));
-        }
-    }
-    for b in &committed.flatness {
-        let Some(c) = current.flatness.iter().find(|f| f.mode == b.mode) else {
-            violations.push(format!(
-                "flatness/{}: row missing from the current measurement",
-                b.mode
-            ));
-            continue;
-        };
-        let ceiling = b.ratio * FLATNESS_TOLERANCE;
-        if c.ratio > ceiling {
-            violations.push(format!(
-                "flatness/{}: 1deg/16deg events-per-sec ratio grew {:.2} -> {:.2} \
-                 (ceiling {:.2}); the engine is losing throughput with scale",
-                b.mode, b.ratio, c.ratio, ceiling
-            ));
-        }
-    }
-    for b in &committed.service {
-        let Some(c) = current.service.iter().find(|r| r.scenario == b.scenario) else {
-            violations.push(format!(
-                "service/{}: row missing from the current measurement",
-                b.scenario
-            ));
-            continue;
-        };
-        // The request counters are event-derived: the same seeded stream
-        // through the same admission rules must produce the same counts
-        // on every machine at every lane count. Any drift is semantic.
-        for (metric, old, new) in [
-            ("offered requests", b.offered, c.offered),
-            ("admitted requests", b.admitted, c.admitted),
-            ("rejected requests", b.rejected, c.rejected),
-            ("deflected requests", b.deflected, c.deflected),
-        ] {
-            if new != old {
-                violations.push(format!(
-                    "service/{}: {metric} changed {old} -> {new} (semantics drift?)",
-                    b.scenario
-                ));
-            }
-        }
-        let floor = b.requests_per_sec * (1.0 - THROUGHPUT_TOLERANCE);
-        if c.requests_per_sec < floor {
-            violations.push(format!(
-                "service/{}: requests/sec fell more than {:.0}% below baseline \
-                 ({:.0} < {:.0})",
-                b.scenario,
-                THROUGHPUT_TOLERANCE * 100.0,
-                c.requests_per_sec,
-                floor
-            ));
-        }
-    }
-    for b in &committed.sweeps {
-        let Some(c) = current.sweeps.iter().find(|r| r.axis == b.axis) else {
-            violations.push(format!(
-                "sweep/{}: row missing from the current measurement",
-                b.axis
-            ));
-            continue;
-        };
-        // The chain's resume/reuse counters are pure functions of the
-        // witness and cadence semantics: any drift means the incremental
-        // engine changed behaviour, never noise.
-        for (metric, old, new) in [
-            ("sweep points", b.points, c.points),
-            ("resumed points", b.resumed, c.resumed),
-            ("reused events", b.reused_events, c.reused_events),
-            ("total events", b.total_events, c.total_events),
-        ] {
-            if new != old {
-                violations.push(format!(
-                    "sweep/{}: {metric} changed {old} -> {new} (semantics drift?)",
-                    b.axis
-                ));
-            }
-        }
-        for (metric, old, new) in [
-            (
-                "scratch points/sec",
-                b.scratch_points_per_sec,
-                c.scratch_points_per_sec,
-            ),
-            (
-                "incremental points/sec",
-                b.incremental_points_per_sec,
-                c.incremental_points_per_sec,
-            ),
-        ] {
-            let floor = old * (1.0 - THROUGHPUT_TOLERANCE);
-            if new < floor {
-                violations.push(format!(
-                    "sweep/{}: {metric} fell more than {:.0}% below baseline ({:.2} < {:.2})",
-                    b.axis,
-                    THROUGHPUT_TOLERANCE * 100.0,
-                    new,
-                    floor
-                ));
-            }
-        }
-        // Same-run quotient: on floored rows, incremental must beat
-        // scratch by the gate on the current machine, whatever its
-        // absolute speed.
-        if let Some(floor) = sweep_speedup_floor(&b.axis) {
-            if c.speedup < floor {
-                violations.push(format!(
-                    "sweep/{}: incremental speedup {:.2}x is below the {:.1}x floor \
-                     ({:.2} vs {:.2} points/sec)",
-                    b.axis,
-                    c.speedup,
-                    floor,
-                    c.incremental_points_per_sec,
-                    c.scratch_points_per_sec
-                ));
-            }
-        }
-    }
-    for b in &committed.cache {
-        let Some(c) = current.cache.iter().find(|r| r.scenario == b.scenario) else {
-            violations.push(format!(
-                "cache/{}: row missing from the current measurement",
-                b.scenario
-            ));
-            continue;
-        };
-        // The hit/miss/single-flight counters are pure functions of the
-        // cache and digest semantics: any drift means the memoization
-        // layer changed behaviour, never noise.
-        for (metric, old, new) in [
-            ("cold misses", b.cold_misses, c.cold_misses),
-            ("warm hits", b.warm_hits, c.warm_hits),
-            (
-                "single-flight computes",
-                b.single_flight_computes,
-                c.single_flight_computes,
-            ),
-            ("plan candidates", b.plan_candidates, c.plan_candidates),
-        ] {
-            if new != old {
-                violations.push(format!(
-                    "cache/{}: {metric} changed {old} -> {new} (semantics drift?)",
-                    b.scenario
-                ));
-            }
-        }
-        // Machine-local replay floor: both numbers from the current run.
-        if c.plan_warm_hits * 100 < c.plan_candidates * PLAN_REPLAY_GATE_PCT {
-            violations.push(format!(
-                "cache/{}: re-planning replayed only {} of {} candidates from \
-                 cache, below the {}% floor",
-                b.scenario, c.plan_warm_hits, c.plan_candidates, PLAN_REPLAY_GATE_PCT
-            ));
-        }
-        let floor = b.warm_hits_per_sec * (1.0 - THROUGHPUT_TOLERANCE);
-        if c.warm_hits_per_sec < floor {
-            violations.push(format!(
-                "cache/{}: warm hits/sec fell more than {:.0}% below baseline \
-                 ({:.0} < {:.0})",
-                b.scenario,
-                THROUGHPUT_TOLERANCE * 100.0,
-                c.warm_hits_per_sec,
-                floor
-            ));
-        }
-    }
-    violations
+    evaluate(current, committed)
+        .into_iter()
+        .flat_map(|c| c.failures)
+        .collect()
 }
 
 /// Renders a one-line-per-metric delta table between a fresh measurement
 /// and the committed baseline, annotating every cell with the gate's
 /// verdict. `repro bench-json --check` prints this when the gate fails so
 /// the CI log names the row, the metric, and the old/new values directly,
-/// instead of leaving the reader to diff two JSON files.
+/// instead of leaving the reader to diff two JSON files. A cell reads
+/// `FAIL` exactly when [`compare`] reports a violation for it.
 pub fn delta_summary(current: &Baseline, committed: &Baseline) -> Vec<String> {
-    let mut lines = Vec::new();
-    let verdict = |bad: bool| if bad { "FAIL" } else { "ok" };
-    let mut push = |name: &str, metric: &str, old: String, new: String, bad: bool| {
-        lines.push(format!(
-            "{name:<18} {metric:<20} {old:>14} -> {new:<14} {}",
-            verdict(bad)
-        ));
-    };
-    for c in &current.workloads {
-        let Some(b) = committed.workloads.iter().find(|w| w.name == c.name) else {
-            push(
-                &c.name,
-                "(whole row)",
-                "absent".into(),
-                "present".into(),
-                true,
-            );
-            continue;
-        };
-        push(
-            &c.name,
-            "allocs_per_sim",
-            b.allocs_per_sim.to_string(),
-            c.allocs_per_sim.to_string(),
-            c.allocs_per_sim > b.allocs_per_sim,
-        );
-        push(
-            &c.name,
-            "alloc_bytes_per_sim",
-            b.alloc_bytes_per_sim.to_string(),
-            c.alloc_bytes_per_sim.to_string(),
-            c.alloc_bytes_per_sim > b.alloc_bytes_per_sim,
-        );
-        push(
-            &c.name,
-            "events",
-            b.events.to_string(),
-            c.events.to_string(),
-            c.events != b.events,
-        );
-        push(
-            &c.name,
-            "batch_allocs_per_sim",
-            b.batch_allocs_per_sim.to_string(),
-            c.batch_allocs_per_sim.to_string(),
-            c.batch_allocs_per_sim > b.batch_allocs_per_sim,
-        );
-        push(
-            &c.name,
-            "queue_pops",
-            b.queue_pops.to_string(),
-            c.queue_pops.to_string(),
-            c.queue_pops != b.queue_pops,
-        );
-        push(
-            &c.name,
-            "queue_cancellations",
-            b.queue_cancellations.to_string(),
-            c.queue_cancellations.to_string(),
-            c.queue_cancellations != b.queue_cancellations,
-        );
-        push(
-            &c.name,
-            "queue_peak_pending",
-            b.queue_peak_pending.to_string(),
-            c.queue_peak_pending.to_string(),
-            c.queue_peak_pending != b.queue_peak_pending,
-        );
-        push(
-            &c.name,
-            "events_per_sec",
-            format!("{:.0}", b.events_per_sec),
-            format!("{:.0}", c.events_per_sec),
-            c.events_per_sec < b.events_per_sec * (1.0 - THROUGHPUT_TOLERANCE),
-        );
-        push(
-            &c.name,
-            "batch_sims_per_sec",
-            format!("{:.2}", b.batch_sims_per_sec),
-            format!("{:.2}", c.batch_sims_per_sec),
-            current.workers == committed.workers
-                && c.batch_sims_per_sec < b.batch_sims_per_sec * (1.0 - BATCH_THROUGHPUT_TOLERANCE),
-        );
-    }
-    for b in &committed.flatness {
-        let name = format!("flatness/{}", b.mode);
-        match current.flatness.iter().find(|f| f.mode == b.mode) {
-            Some(c) => push(
-                &name,
-                "ratio_1deg_16deg",
-                format!("{:.2}", b.ratio),
-                format!("{:.2}", c.ratio),
-                c.ratio > b.ratio * FLATNESS_TOLERANCE,
-            ),
-            None => push(
-                &name,
-                "ratio_1deg_16deg",
-                format!("{:.2}", b.ratio),
-                "absent".into(),
-                true,
-            ),
-        }
-    }
-    for b in &committed.service {
-        let name = format!("service/{}", b.scenario);
-        match current.service.iter().find(|r| r.scenario == b.scenario) {
-            Some(c) => {
-                for (metric, old, new) in [
-                    ("offered", b.offered, c.offered),
-                    ("admitted", b.admitted, c.admitted),
-                    ("rejected", b.rejected, c.rejected),
-                    ("deflected", b.deflected, c.deflected),
-                ] {
-                    push(&name, metric, old.to_string(), new.to_string(), new != old);
-                }
-                push(
-                    &name,
-                    "requests_per_sec",
-                    format!("{:.0}", b.requests_per_sec),
-                    format!("{:.0}", c.requests_per_sec),
-                    c.requests_per_sec < b.requests_per_sec * (1.0 - THROUGHPUT_TOLERANCE),
-                );
-            }
-            None => push(
-                &name,
-                "(whole row)",
-                "present".into(),
-                "absent".into(),
-                true,
-            ),
-        }
-    }
-    for b in &committed.sweeps {
-        let name = format!("sweep/{}", b.axis);
-        match current.sweeps.iter().find(|r| r.axis == b.axis) {
-            Some(c) => {
-                for (metric, old, new) in [
-                    ("points", b.points, c.points),
-                    ("resumed", b.resumed, c.resumed),
-                    ("reused_events", b.reused_events, c.reused_events),
-                    ("total_events", b.total_events, c.total_events),
-                ] {
-                    push(&name, metric, old.to_string(), new.to_string(), new != old);
-                }
-                push(
-                    &name,
-                    "incr_points_per_sec",
-                    format!("{:.2}", b.incremental_points_per_sec),
-                    format!("{:.2}", c.incremental_points_per_sec),
-                    c.incremental_points_per_sec
-                        < b.incremental_points_per_sec * (1.0 - THROUGHPUT_TOLERANCE),
-                );
-                push(
-                    &name,
-                    "speedup",
-                    format!("{:.2}", b.speedup),
-                    format!("{:.2}", c.speedup),
-                    sweep_speedup_floor(&b.axis).is_some_and(|floor| c.speedup < floor),
-                );
-            }
-            None => push(
-                &name,
-                "(whole row)",
-                "present".into(),
-                "absent".into(),
-                true,
-            ),
-        }
-    }
-    for b in &committed.cache {
-        let name = format!("cache/{}", b.scenario);
-        match current.cache.iter().find(|r| r.scenario == b.scenario) {
-            Some(c) => {
-                for (metric, old, new) in [
-                    ("cold_misses", b.cold_misses, c.cold_misses),
-                    ("warm_hits", b.warm_hits, c.warm_hits),
-                    (
-                        "single_flight_computes",
-                        b.single_flight_computes,
-                        c.single_flight_computes,
-                    ),
-                    ("plan_candidates", b.plan_candidates, c.plan_candidates),
-                ] {
-                    push(&name, metric, old.to_string(), new.to_string(), new != old);
-                }
-                push(
-                    &name,
-                    "plan_warm_hits",
-                    b.plan_warm_hits.to_string(),
-                    c.plan_warm_hits.to_string(),
-                    c.plan_warm_hits * 100 < c.plan_candidates * PLAN_REPLAY_GATE_PCT,
-                );
-                push(
-                    &name,
-                    "warm_hits_per_sec",
-                    format!("{:.0}", b.warm_hits_per_sec),
-                    format!("{:.0}", c.warm_hits_per_sec),
-                    c.warm_hits_per_sec < b.warm_hits_per_sec * (1.0 - THROUGHPUT_TOLERANCE),
-                );
-            }
-            None => push(
-                &name,
-                "(whole row)",
-                "present".into(),
-                "absent".into(),
-                true,
-            ),
-        }
-    }
-    lines
+    evaluate(current, committed)
+        .into_iter()
+        .map(|c| {
+            let verdict = if c.failures.is_empty() { "ok" } else { "FAIL" };
+            format!(
+                "{:<18} {:<20} {:>14} -> {:<14} {verdict}",
+                c.row, c.column, c.old, c.new
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1894,6 +1592,160 @@ mod tests {
         // still reports the mismatch rather than silently passing.
         let v = compare(&sample(), &committed);
         assert!(v[0].contains("not present"), "{v:?}");
+    }
+
+    #[test]
+    fn peak_live_bytes_increase_fails_strictly() {
+        let committed = sample();
+        let mut current = sample();
+        current.workloads[0].peak_live_bytes += 1;
+        let v = compare(&current, &committed);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("peak live bytes per simulation regressed"),
+            "{v:?}"
+        );
+        // A smaller peak is an improvement.
+        current.workloads[0].peak_live_bytes -= 2;
+        assert!(compare(&current, &committed).is_empty());
+    }
+
+    #[test]
+    fn rows_missing_on_either_side_are_flagged_in_every_section() {
+        type Drop = fn(&mut Baseline);
+        let sections: [(&str, Drop); 5] = [
+            ("1deg/regular", |b| b.workloads.clear()),
+            ("flatness/regular", |b| b.flatness.clear()),
+            ("service/quarter-mixed-reject", |b| b.service.clear()),
+            ("sweep/processors/4deg-regular", |b| b.sweeps.truncate(0)),
+            ("cache/1deg-procs-grid+plan-replay", |b| b.cache.clear()),
+        ];
+        for (row, drop_rows) in sections {
+            // Dropped from the current run: the committed row disappeared.
+            let mut current = sample();
+            drop_rows(&mut current);
+            let v = compare(&current, &sample());
+            assert!(
+                v.contains(&format!("{row}: row missing from the current measurement")),
+                "{v:?}"
+            );
+            // Dropped from the committed file: a row it never recorded.
+            let mut committed = sample();
+            drop_rows(&mut committed);
+            let v = compare(&sample(), &committed);
+            assert!(
+                v.iter()
+                    .any(|m| m.starts_with(&format!("{row}: not present in the committed"))),
+                "{v:?}"
+            );
+        }
+        // The reported case: a committed workload the current run lacks.
+        let mut committed = sample();
+        let mut extra = committed.workloads[0].clone();
+        extra.name = "4deg/regular".into();
+        committed.workloads.push(extra);
+        let v = compare(&sample(), &committed);
+        assert_eq!(
+            v,
+            vec!["4deg/regular: row missing from the current measurement".to_string()]
+        );
+    }
+
+    /// Each gated metric of [`sample`] pushed in its failing direction:
+    /// the row and delta-table column expected to fail, and the change.
+    type Perturbation = (&'static str, &'static str, fn(&mut Baseline, &mut Baseline));
+
+    #[rustfmt::skip]
+    const PERTURBATIONS: &[Perturbation] = &[
+        ("1deg/regular", "events", |c, _| c.workloads[0].events += 1),
+        ("1deg/regular", "allocs_per_sim", |c, _| c.workloads[0].allocs_per_sim += 1),
+        ("1deg/regular", "alloc_bytes_per_sim", |c, _| c.workloads[0].alloc_bytes_per_sim += 1),
+        ("1deg/regular", "peak_live_bytes", |c, _| c.workloads[0].peak_live_bytes *= 10),
+        ("1deg/regular", "events_per_sec", |c, _| c.workloads[0].events_per_sec *= 0.2),
+        ("1deg/regular", "batch_allocs_per_sim", |c, _| c.workloads[0].batch_allocs_per_sim += 1),
+        // Over the absolute budget but not above the committed count.
+        ("1deg/regular", "batch_allocs_per_sim", |c, b| {
+            b.workloads[0].batch_allocs_per_sim = WARM_ALLOC_BUDGET + 3;
+            c.workloads[0].batch_allocs_per_sim = WARM_ALLOC_BUDGET + 1;
+        }),
+        ("1deg/regular", "batch_sims_per_sec", |c, _| c.workloads[0].batch_sims_per_sec *= 0.2),
+        // The same-run batch speedup, on a parallel run whose lane count
+        // differs from the committed file's.
+        ("1deg/regular", "batch_sims_per_sec", |c, _| {
+            (c.workers, c.host_parallelism) = (4, 4);
+            c.workloads[0].batch_sims_per_sec = c.workloads[0].sims_per_sec;
+        }),
+        ("1deg/regular", "queue_pops", |c, _| c.workloads[0].queue_pops += 1),
+        ("1deg/regular", "queue_cancellations", |c, _| c.workloads[0].queue_cancellations -= 1),
+        ("1deg/regular", "queue_peak_pending", |c, _| c.workloads[0].queue_peak_pending += 1),
+        ("1deg/regular", "(whole row)", |c, _| c.workloads.clear()),
+        ("flatness/regular", "ratio_1deg_16deg", |c, _| c.flatness[0].ratio *= 3.0),
+        ("service/quarter-mixed-reject", "offered", |c, _| c.service[0].offered += 1),
+        ("service/quarter-mixed-reject", "admitted", |c, _| c.service[0].admitted -= 1),
+        ("service/quarter-mixed-reject", "rejected", |c, _| c.service[0].rejected += 1),
+        ("service/quarter-mixed-reject", "deflected", |c, _| c.service[0].deflected += 1),
+        ("service/quarter-mixed-reject", "requests_per_sec", |c, _| c.service[0].requests_per_sec *= 0.2),
+        ("sweep/processors/4deg-regular", "points", |c, _| c.sweeps[0].points += 1),
+        ("sweep/processors/4deg-regular", "resumed", |c, _| c.sweeps[0].resumed += 1),
+        ("sweep/processors/4deg-regular", "reused_events", |c, _| c.sweeps[0].reused_events -= 1),
+        ("sweep/processors/4deg-regular", "total_events", |c, _| c.sweeps[0].total_events += 1),
+        ("sweep/processors/4deg-regular", "scratch_points_per_sec", |c, _| c.sweeps[0].scratch_points_per_sec *= 0.2),
+        ("sweep/processors/4deg-regular", "incr_points_per_sec", |c, _| c.sweeps[0].incremental_points_per_sec *= 0.2),
+        ("sweep/processors/1deg-regular", "speedup", |c, _| c.sweeps[1].speedup = 1.05),
+        ("cache/1deg-procs-grid+plan-replay", "cold_misses", |c, _| c.cache[0].cold_misses += 1),
+        ("cache/1deg-procs-grid+plan-replay", "warm_hits", |c, _| c.cache[0].warm_hits -= 1),
+        ("cache/1deg-procs-grid+plan-replay", "single_flight_computes", |c, _| c.cache[0].single_flight_computes += 1),
+        ("cache/1deg-procs-grid+plan-replay", "plan_candidates", |c, _| c.cache[0].plan_candidates += 1),
+        ("cache/1deg-procs-grid+plan-replay", "plan_warm_hits", |c, _| c.cache[0].plan_warm_hits = 66),
+        ("cache/1deg-procs-grid+plan-replay", "warm_hits_per_sec", |c, _| c.cache[0].warm_hits_per_sec *= 0.2),
+    ];
+
+    #[test]
+    fn compare_and_delta_summary_agree_on_every_gated_metric() {
+        let fails = |current: &Baseline, committed: &Baseline| -> Vec<String> {
+            delta_summary(current, committed)
+                .into_iter()
+                .filter(|l| l.ends_with("FAIL"))
+                .collect()
+        };
+        assert!(fails(&sample(), &sample()).is_empty());
+        for &(row, column, perturb) in PERTURBATIONS {
+            let (mut current, mut committed) = (sample(), sample());
+            perturb(&mut current, &mut committed);
+            let violations = compare(&current, &committed);
+            let failing = fails(&current, &committed);
+            assert_eq!(
+                failing.len(),
+                1,
+                "{row} {column}: {failing:?} vs {violations:?}"
+            );
+            assert_eq!(
+                failing[0].split_whitespace().next(),
+                Some(row),
+                "{failing:?}"
+            );
+            assert!(
+                failing[0].contains(&format!(" {column} ")),
+                "{column}: {failing:?}"
+            );
+            assert!(
+                !violations.is_empty(),
+                "{row} {column}: delta FAILs, compare passes"
+            );
+            assert!(
+                violations
+                    .iter()
+                    .all(|v| v.starts_with(&format!("{row}: "))),
+                "{row} {column}: {violations:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        let text = include_str!("../../../BENCH_baseline.json");
+        let parsed = from_json(text).expect("the committed baseline parses");
+        assert_eq!(to_json(&parsed), text);
     }
 
     #[test]
@@ -2180,9 +2032,9 @@ mod tests {
         current.flatness[0].ratio = committed.flatness[0].ratio * 3.0;
         let lines = delta_summary(&current, &committed);
         // One line per gated metric per row, plus the flatness, service,
-        // sweep and cache rows (9 workload + 1 flatness + 5 service +
-        // 2×6 sweep + 6 cache).
-        assert_eq!(lines.len(), 33, "{lines:?}");
+        // sweep and cache rows (10 workload + 1 flatness + 5 service +
+        // 2×7 sweep + 6 cache).
+        assert_eq!(lines.len(), 36, "{lines:?}");
         let failing: Vec<&String> = lines.iter().filter(|l| l.ends_with("FAIL")).collect();
         assert_eq!(failing.len(), 2, "{lines:?}");
         assert!(

@@ -44,11 +44,11 @@ use mcloud_core::{
 };
 use mcloud_dag::Workflow;
 use mcloud_montage::{generate, Band, MosaicConfig};
+use mcloud_simkit::json::{self, Value};
 use mcloud_simkit::{MetricClass, Registry};
 
 use crate::args::Args;
 use crate::commands::{exec_from, parse_band, wants_help, SIM_FLAGS};
-use crate::json::{self, Value};
 
 /// Per-command help text.
 const HELP: &str = "\
@@ -823,14 +823,19 @@ mod tests {
 
     #[test]
     fn session_handles_plan_batch_metrics_and_errors() {
+        // Nested far past json::MAX_DEPTH: an error frame, not a stack
+        // overflow that aborts the server.
+        let deep = "[".repeat(200_000);
         let (served, out) = run_session(&[
             r#"{"op": "batch", "scenarios": [["--degrees", "0.2", "--procs", "2"], ["--degrees", "0.2", "--procs", "2"]]}"#,
             r#"{"op": "plan", "args": ["--slo-p99", "7", "--rate", "1", "--horizon", "24", "--format", "json"]}"#,
             r#"{"op": "metrics"}"#,
             r#"{"op": "nonsense"}"#,
             r#"not json at all"#,
+            &deep,
         ]);
-        assert_eq!(served, 5);
+        assert_eq!(served, 6);
+        assert!(out.contains("nesting deeper than 128"), "{out}");
         assert!(out.contains("\"results\": ["), "{out}");
         assert!(out.contains("mcloud-plan/v1"), "{out}");
         assert!(out.contains("mcloud_cache_hits_total"), "{out}");

@@ -18,7 +18,10 @@
 //! `Report.trace` (and the Gantt renderers on top of it) keep working.
 
 use mcloud_dag::{TaskId, Workflow};
-use mcloud_simkit::{Channel, EventSink, FailureKind, SimTime, TimedEvent, TraceEvent};
+use mcloud_simkit::json::{self, Value};
+use mcloud_simkit::{
+    Channel, EventSink, FailureKind, SimDuration, SimTime, TimedEvent, TraceEvent,
+};
 
 use crate::report::TaskSpan;
 
@@ -81,25 +84,8 @@ impl<S: EventSink> EventSink for SpanTee<S> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn task_name(wf: &Workflow, task: u32) -> String {
-    esc(wf.task(TaskId(task)).name)
+    json::escape(wf.task(TaskId(task)).name)
 }
 
 /// Serializes a recorded event stream as JSON Lines, one event per line.
@@ -221,130 +207,146 @@ pub fn trace_to_jsonl(wf: &Workflow, events: &[TimedEvent]) -> String {
     out
 }
 
-/// Raw text of one JSON value field (number, bool, or quoted string with
-/// the quotes stripped). Tailored to the exporter's own output: fixed key
-/// order, no nesting, no commas inside the string values it reads.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim_matches('"'))
+/// Largest integer an `f64` JSON number holds exactly; larger trace
+/// integers are rejected rather than silently rounded.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// One trace line parsed as a JSON object, with typed field access whose
+/// errors quote the line.
+struct Line<'a> {
+    text: &'a str,
+    obj: Value,
 }
 
-fn num<T: std::str::FromStr>(line: &str, key: &str) -> Result<T, String> {
-    field(line, key)
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| format!("missing or malformed field {key:?} in line: {line}"))
+impl Line<'_> {
+    /// Field `key`, read by `read`.
+    fn get<'v, T>(
+        &'v self,
+        key: &str,
+        read: impl FnOnce(&'v Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.obj
+            .get(key)
+            .and_then(read)
+            .ok_or_else(|| format!("missing or malformed field {key:?} in line: {}", self.text))
+    }
+
+    /// A non-negative integer field that fits `T`.
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.get(key, |v| {
+            let x = v
+                .as_f64()
+                .filter(|x| x.fract() == 0.0 && (0.0..=MAX_EXACT_INT).contains(x))?;
+            T::try_from(x as u64).ok()
+        })
+    }
+
+    /// The optional task attribution of transfer and preemption events.
+    fn task_attr(&self) -> Result<Option<u32>, String> {
+        match self.obj.get("task") {
+            None => Ok(None),
+            Some(_) => self.int("task").map(Some),
+        }
+    }
+
+    fn chan(&self) -> Result<Channel, String> {
+        match self.get("chan", Value::as_str)? {
+            "in" => Ok(Channel::In),
+            "out" => Ok(Channel::Out),
+            other => Err(format!("bad chan {other:?} in line: {}", self.text)),
+        }
+    }
 }
 
 /// Parses a JSON Lines trace produced by [`trace_to_jsonl`] back into the
 /// event stream, so committed traces can be profiled without re-running
 /// the simulation.
 ///
-/// Round-trips exactly: `trace_from_jsonl(&trace_to_jsonl(wf, events))`
-/// reproduces `events` (task *names* are presentation-only and are not
-/// needed to reconstruct the stream). Blank lines are skipped; anything
-/// else that does not parse is an error.
+/// Each line is read as a JSON object through [`json::parse`], so key
+/// order and whitespace are free. Round-trips exactly:
+/// `trace_from_jsonl(&trace_to_jsonl(wf, events))` reproduces `events`
+/// (task *names* are presentation-only and are not needed to reconstruct
+/// the stream). Blank lines are skipped; anything else that does not
+/// parse is an error, as is an integer field above 2^53.
 pub fn trace_from_jsonl(text: &str) -> Result<Vec<TimedEvent>, String> {
     let mut events = Vec::new();
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
         }
-        let at = SimTime::from_micros(num(line, "t_us")?);
-        let ev = field(line, "ev").ok_or_else(|| format!("line without \"ev\": {line}"))?;
-        let chan = || match field(line, "chan") {
-            Some("in") => Ok(Channel::In),
-            Some("out") => Ok(Channel::Out),
-            other => Err(format!("bad chan {other:?} in line: {line}")),
-        };
-        // The attribution field is optional on transfer events.
-        let task_attr = || -> Result<Option<u32>, String> {
-            match field(line, "task") {
-                None => Ok(None),
-                Some(v) => v
-                    .parse()
-                    .map(Some)
-                    .map_err(|_| format!("bad task id in line: {line}")),
-            }
-        };
-        let event = match ev {
+        let obj = json::parse(line).map_err(|e| format!("{e} in line: {line}"))?;
+        let l = Line { text: line, obj };
+        let at = SimTime::from_micros(l.int("t_us")?);
+        let event = match l.get("ev", Value::as_str)? {
             "task_ready" => TraceEvent::TaskReady {
-                task: num(line, "task")?,
+                task: l.int("task")?,
             },
             "task_started" => TraceEvent::TaskStarted {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                waited: mcloud_simkit::SimDuration::from_micros(num(line, "waited_us")?),
+                task: l.int("task")?,
+                proc: l.int("proc")?,
+                waited: SimDuration::from_micros(l.int("waited_us")?),
             },
             "task_finished" => TraceEvent::TaskFinished {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                ok: num(line, "ok")?,
+                task: l.int("task")?,
+                proc: l.int("proc")?,
+                ok: l.get("ok", Value::as_bool)?,
             },
             "task_failed" => TraceEvent::TaskFailed {
-                task: num(line, "task")?,
-                proc: num(line, "proc")?,
-                attempt: num(line, "attempt")?,
-                kind: match field(line, "kind") {
-                    Some("fault") => FailureKind::Fault,
-                    Some("timeout") => FailureKind::Timeout,
-                    Some("preempted") => FailureKind::Preempted,
+                task: l.int("task")?,
+                proc: l.int("proc")?,
+                attempt: l.int("attempt")?,
+                kind: match l.get("kind", Value::as_str)? {
+                    "fault" => FailureKind::Fault,
+                    "timeout" => FailureKind::Timeout,
+                    "preempted" => FailureKind::Preempted,
                     other => return Err(format!("bad kind {other:?} in line: {line}")),
                 },
             },
             "task_retried" => TraceEvent::TaskRetried {
-                task: num(line, "task")?,
-                attempt: num(line, "attempt")?,
-                delay: mcloud_simkit::SimDuration::from_micros(num(line, "delay_us")?),
+                task: l.int("task")?,
+                attempt: l.int("attempt")?,
+                delay: SimDuration::from_micros(l.int("delay_us")?),
             },
             "processor_preempted" => TraceEvent::ProcessorPreempted {
-                proc: num(line, "proc")?,
-                task: task_attr()?,
+                proc: l.int("proc")?,
+                task: l.task_attr()?,
             },
             "transfer_failed" => TraceEvent::TransferFailed {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.int("bytes")?,
+                task: l.task_attr()?,
             },
             "task_blocked_on_storage" => TraceEvent::TaskBlockedOnStorage {
-                task: num(line, "task")?,
+                task: l.int("task")?,
             },
             "transfer_granted" => TraceEvent::TransferGranted {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                start: SimTime::from_micros(num(line, "start_us")?),
-                finish: SimTime::from_micros(num(line, "finish_us")?),
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.int("bytes")?,
+                start: SimTime::from_micros(l.int("start_us")?),
+                finish: SimTime::from_micros(l.int("finish_us")?),
+                task: l.task_attr()?,
             },
             "transfer_completed" => TraceEvent::TransferCompleted {
-                chan: chan()?,
-                bytes: num(line, "bytes")?,
-                task: task_attr()?,
+                chan: l.chan()?,
+                bytes: l.int("bytes")?,
+                task: l.task_attr()?,
             },
             "storage_alloc" => TraceEvent::StorageAlloc {
-                bytes: num(line, "bytes")?,
-                occupancy: num(line, "occupancy_bytes")?,
+                bytes: l.int("bytes")?,
+                occupancy: l.get("occupancy_bytes", Value::as_f64)?,
             },
             "storage_free" => TraceEvent::StorageFree {
-                bytes: num(line, "bytes")?,
-                occupancy: num(line, "occupancy_bytes")?,
+                bytes: l.int("bytes")?,
+                occupancy: l.get("occupancy_bytes", Value::as_f64)?,
             },
             "vm_ready" => TraceEvent::VmReady,
-            "request_queued" => TraceEvent::RequestQueued {
-                req: num(line, "req")?,
-            },
+            "request_queued" => TraceEvent::RequestQueued { req: l.int("req")? },
             "request_started" => TraceEvent::RequestStarted {
-                req: num(line, "req")?,
-                cloud: num(line, "cloud")?,
+                req: l.int("req")?,
+                cloud: l.get("cloud", Value::as_bool)?,
             },
-            "request_finished" => TraceEvent::RequestFinished {
-                req: num(line, "req")?,
-            },
-            "request_rejected" => TraceEvent::RequestRejected {
-                req: num(line, "req")?,
-            },
+            "request_finished" => TraceEvent::RequestFinished { req: l.int("req")? },
+            "request_rejected" => TraceEvent::RequestRejected { req: l.int("req")? },
             other => return Err(format!("unknown event type {other:?} in line: {line}")),
         };
         events.push(TimedEvent { at, event });
@@ -661,9 +663,42 @@ mod tests {
     }
 
     #[test]
-    fn esc_handles_specials() {
-        assert_eq!(esc(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(esc("x\ny"), "x\\ny");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+    fn parser_reads_any_valid_json_layout() {
+        // Spaces after separators and a different key order are still
+        // the same event.
+        let spaced = trace_from_jsonl(r#"{"t_us": 5, "ev": "task_ready", "task": 3}"#);
+        assert_eq!(
+            spaced.unwrap(),
+            vec![TimedEvent {
+                at: SimTime::from_micros(5),
+                event: TraceEvent::TaskReady { task: 3 },
+            }]
+        );
+        let reordered =
+            trace_from_jsonl(r#"{"ok":true,"proc":1,"task":2,"ev":"task_finished","t_us":7}"#);
+        assert_eq!(
+            reordered.unwrap()[0].event,
+            TraceEvent::TaskFinished {
+                task: 2,
+                proc: 1,
+                ok: true
+            }
+        );
+        // A string that merely contains a comma or brace is read whole.
+        let named = r#"{"t_us":1,"ev":"task_ready","task":0,"name":"a,b}c"}"#;
+        assert_eq!(trace_from_jsonl(named).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn parser_rejects_out_of_range_and_fractional_integers() {
+        for bad in [
+            r#"{"t_us":1,"ev":"task_ready","task":4294967296}"#,
+            r#"{"t_us":1,"ev":"task_ready","task":-1}"#,
+            r#"{"t_us":1.5,"ev":"task_ready","task":0}"#,
+            r#"{"t_us":1e300,"ev":"task_ready","task":0}"#,
+            r#"{"t_us":1,"ev":"task_finished","task":0,"proc":0,"ok":1}"#,
+        ] {
+            assert!(trace_from_jsonl(bad).is_err(), "accepted {bad}");
+        }
     }
 }

@@ -1,10 +1,11 @@
-//! A tiny dependency-free JSON reader/writer for the serve protocol.
+//! The workspace's one JSON reader and string escaper, dependency-free.
 //!
-//! Parses the full JSON grammar into a [`Value`] tree (objects keep key
-//! order) and escapes strings for emission. This stays deliberately
-//! small: the serve protocol only ever reads `{"op": ..., "args": [...],
-//! "scenarios": [[...]]}` shapes, and everything the server *writes* is
-//! composed from the workspace's deterministic hand-rolled emitters.
+//! [`parse`] reads the full JSON grammar into a [`Value`] tree (objects
+//! keep key order); [`escape`] escapes a string body for emission. Every
+//! JSON document the workspace reads goes through [`parse`]: `serve`
+//! requests, the committed bench baseline, and JSON Lines traces. Every
+//! document it writes is composed by deterministic hand-rolled emitters
+//! that escape their strings with [`escape`].
 
 use std::collections::VecDeque;
 
@@ -50,14 +51,37 @@ impl Value {
             _ => None,
         }
     }
+
+    /// The boolean payload, if this is `true` or `false`.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Every document the
+/// workspace reads nests at most three levels; the bound keeps a hostile
+/// `serve` request such as 200 KB of `[` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing non-whitespace is an
-/// error, as is any grammar violation (with a byte offset).
+/// error, as is any grammar violation (with a byte offset) or nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         at: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -88,6 +112,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     at: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -129,11 +155,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.at)),
         }
+    }
+
+    /// Parses an array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.at
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Value, String> {
@@ -310,6 +350,26 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1))
+            .unwrap_err()
+            .contains("nesting deeper"));
+        // Unclosed, far past the bound: refused at the bound, not by a
+        // stack overflow that aborts the process.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape(r#"a"b\c"#), r#"a\"b\\c"#);
+        assert_eq!(escape("x\ny\tz\r"), "x\\ny\\tz\\r");
+        assert_eq!(escape("\u{1}"), "\\u0001");
     }
 
     #[test]
